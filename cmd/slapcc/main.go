@@ -71,7 +71,6 @@ func run(args []string) error {
 		show      = fs.Bool("show", false, "print the image and labeling as ASCII art")
 		metrics   = fs.Bool("metrics", false, "print per-phase machine metrics")
 		profile   = fs.Bool("profile", false, "print per-PE completion profiles (the systolic wavefront)")
-		parallel  = fs.Bool("parallel", false, "simulate with one goroutine per PE (same metrics, less wall time)")
 		speculate = fs.Bool("speculate", false, "enable speculative union forwarding (§3 heuristic)")
 		conn      = fs.Int("conn", 4, "pixel connectivity: 4 (paper) or 8")
 		verify    = fs.Bool("verify", true, "cross-check against the sequential reference")
@@ -102,7 +101,6 @@ func run(args []string) error {
 		IdleCompression: *idle,
 		UnitCostUF:      *unitUF,
 		Profile:         *profile,
-		Parallel:        *parallel,
 		Speculate:       *speculate,
 		ArrayWidth:      *array,
 		StripWorkers:    *stripWk,

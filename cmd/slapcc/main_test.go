@@ -101,6 +101,7 @@ func TestRunErrors(t *testing.T) {
 		{"-in", "/nonexistent/file.pbm"},      // missing file
 		{"-gen", "checker", "-uf", "bogus"},   // unknown UF kind
 		{"-gen", "checker", "-agg", "median"}, // unknown monoid
+		{"-gen", "checker", "-parallel"},      // retired flag
 	}
 	for _, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {
@@ -111,7 +112,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunConn8(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run([]string{"-gen", "checker", "-n", "8", "-conn", "8", "-parallel", "-speculate"})
+		return run([]string{"-gen", "checker", "-n", "8", "-conn", "8", "-speculate"})
 	})
 	if err != nil {
 		t.Fatal(err)

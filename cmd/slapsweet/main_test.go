@@ -60,8 +60,6 @@ func TestSweetSmoke(t *testing.T) {
 		"steady/latency_p99_ms",
 		"steady/stage/label_p95_ms",
 		"core/engine-seq/mb_per_s",
-		"core/engine-par/gmp2/mb_per_s",
-		"core/engine-par/gmp4/mb_per_s",
 		"core/engine-host/mb_per_s",
 	} {
 		r := f.Find(name)
@@ -119,21 +117,25 @@ func TestSweetList(t *testing.T) {
 	}
 	for _, name := range []string{
 		"steady", "burst", "overload", "strip", "batch", "cost",
-		"engine", "stream", "stripworkers", "reuse", "linktune",
+		"engine", "stream", "stripworkers", "reuse",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list missing scenario %s:\n%s", name, out.String())
 		}
 	}
+	if strings.Contains(out.String(), "linktune") {
+		t.Errorf("-list still offers the retired linktune scenario:\n%s", out.String())
+	}
 }
 
-// TestSweetBadFlags: unknown scenarios and malformed -gmp fail cleanly.
+// TestSweetBadFlags: unknown scenarios and the retired -gmp flag fail
+// cleanly.
 func TestSweetBadFlags(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code, err := run([]string{"-run", "nonesuch"}, &out, &errw); err == nil || code != 1 {
 		t.Errorf("unknown scenario: want code 1 with error, got %d, %v", code, err)
 	}
-	if code, err := run([]string{"-gmp", "2,zero"}, &out, &errw); err == nil || code != 1 {
-		t.Errorf("bad -gmp: want code 1 with error, got %d, %v", code, err)
+	if code, err := run([]string{"-gmp", "1,2"}, &out, &errw); err == nil || code != 1 {
+		t.Errorf("-gmp: want rejection as an unknown flag (code 1), got %d, %v", code, err)
 	}
 }

@@ -91,20 +91,6 @@ type Options struct {
 	// Profile records per-PE completion times for every phase
 	// (Metrics.Phases[i].PerPE), making the systolic wavefront visible.
 	Profile bool
-	// Parallel runs the sweep phases with host-side concurrency (one
-	// goroutine per PE over batched links) when the host has parallelism
-	// to exploit. Simulated metrics are identical to the sequential
-	// engine's (tests enforce bit-equality); only wall-clock time
-	// changes.
-	Parallel bool
-	// BatchSize and LinkDepth tune the parallel engine's batched links:
-	// records accumulated per published batch, and published batches in
-	// flight per link. Zero selects the GOMAXPROCS-aware defaults
-	// (slap.DefaultLinkTuning); negative values are rejected. Both are
-	// host-side wall-time knobs only — simulated metrics are identical
-	// at every setting.
-	BatchSize int
-	LinkDepth int
 
 	// ArrayWidth is the physical PE count of the simulated machine. Zero
 	// (the default) sizes the array to the image, as always; a positive
@@ -462,9 +448,6 @@ func (lb *Labeler) runCC(img bitmap.Image) (*bitmap.LabelMap, error) {
 	if opt.Profile {
 		lb.m.EnableProfile()
 	}
-	if opt.BatchSize < 0 || opt.LinkDepth < 0 {
-		return nil, fmt.Errorf("core: negative link tuning (BatchSize %d, LinkDepth %d)", opt.BatchSize, opt.LinkDepth)
-	}
 	if opt.ArrayWidth < 0 || opt.StripWorkers < 0 {
 		return nil, fmt.Errorf("core: negative tiling options (ArrayWidth %d, StripWorkers %d)", opt.ArrayWidth, opt.StripWorkers)
 	}
@@ -476,10 +459,6 @@ func (lb *Labeler) runCC(img bitmap.Image) (*bitmap.LabelMap, error) {
 	}
 	if !opt.Engine.Valid() {
 		return nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", opt.Engine, EngineSim, EngineHost)
-	}
-	lb.m.SetLinkTuning(opt.BatchSize, opt.LinkDepth)
-	if opt.Parallel {
-		lb.m.EnableParallel()
 	}
 	if opt.noFuse {
 		lb.m.DisableFusion()

@@ -21,32 +21,6 @@ func atGMP(t *testing.T, p int, f func(t *testing.T)) {
 
 var gmpSweep = []int{1, 2, 4}
 
-// TestMulticoreEngineEquivalence pins the engine-selection contract at
-// real GOMAXPROCS values (no ForceConcurrentEngines): whatever executor
-// parallel mode picks at 1, 2, or 4 procs, labels and simulated metrics
-// are bit-identical to the sequential engine's. At GOMAXPROCS=1 this
-// covers the sequential delegate; above it, the batched concurrent
-// engine under genuine scheduler interleaving.
-func TestMulticoreEngineEquivalence(t *testing.T) {
-	const n = 31
-	for _, p := range gmpSweep {
-		atGMP(t, p, func(t *testing.T) {
-			for _, fam := range bitmap.Families() {
-				img := fam.Generate(n)
-				seq := mustLabel(t, img, Options{})
-				par := mustLabel(t, img, Options{Parallel: true})
-				if !par.Labels.Equal(seq.Labels) {
-					t.Errorf("%s: parallel engine changed the labeling", fam.Name)
-				}
-				if !metricsIdentical(t, seq, par) {
-					t.Errorf("%s: parallel engine changed the metrics:\nseq %+v\ngot %+v",
-						fam.Name, seq.Metrics, par.Metrics)
-				}
-			}
-		})
-	}
-}
-
 // TestMulticoreStreamOrdering pins the LabelerPool/LabelStream delivery
 // contract under contention: with more workers than procs and more
 // procs than one, results still arrive strictly in submission order and

@@ -9,10 +9,9 @@ import (
 
 // Non-square equivalence: tiling makes w ≠ h first-class (the last strip
 // of a strip-mined run is almost always narrower than the array), so the
-// engines are held to the same conformance bar off the square diagonal
-// as on it — sequential per-phase, fused, and parallel executions of
-// every shape must agree bit for bit with each other and with the
-// sequential ground truth.
+// executors are held to the same conformance bar off the square diagonal
+// as on it — per-phase and fused executions of every shape must agree
+// bit for bit with each other and with the sequential ground truth.
 
 // nonSquareSizes spans wide, tall, degenerate, and >64-row shapes (the
 // packed-column walks change word count at multiples of 64).
@@ -32,23 +31,13 @@ func TestNonSquareEngineEquivalence(t *testing.T) {
 					t.Fatalf("%dx%d/conn%d/d%.2f: fused engine wrong: %v", w, h, conn, density, err)
 				}
 				unfused := mustLabel(t, img, Options{Connectivity: conn, noFuse: true})
-				par := mustLabel(t, img, Options{Connectivity: conn, Parallel: true})
-
-				for _, tc := range []struct {
-					engine string
-					res    *Result
-				}{
-					{"per-phase", unfused},
-					{"parallel", par},
-				} {
-					if !tc.res.Labels.Equal(fused.Labels) {
-						t.Errorf("%dx%d/conn%d/d%.2f: %s engine changed the labeling",
-							w, h, conn, density, tc.engine)
-					}
-					if !metricsIdentical(t, fused, tc.res) {
-						t.Errorf("%dx%d/conn%d/d%.2f: %s engine changed the metrics:\nfused %+v\ngot   %+v",
-							w, h, conn, density, tc.engine, fused.Metrics, tc.res.Metrics)
-					}
+				if !unfused.Labels.Equal(fused.Labels) {
+					t.Errorf("%dx%d/conn%d/d%.2f: per-phase engine changed the labeling",
+						w, h, conn, density)
+				}
+				if !metricsIdentical(t, fused, unfused) {
+					t.Errorf("%dx%d/conn%d/d%.2f: per-phase engine changed the metrics:\nfused %+v\ngot   %+v",
+						w, h, conn, density, fused.Metrics, unfused.Metrics)
 				}
 			}
 		}

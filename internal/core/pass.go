@@ -37,11 +37,6 @@ type colState struct {
 	label []int32
 	out   []int32 // final per-row pass labels (-1 on 0-pixels)
 	costs []int32 // label-pass batch-find cost scratch
-
-	// Per-PE speculation counters (kept here, not on the labeler, so
-	// parallel sweeps stay race-free; summed after the pass).
-	specSends  int64
-	specWasted int64
 }
 
 // bitAt probes one pixel of a packed column.
@@ -96,13 +91,13 @@ func passIndex(dir slap.Direction) int {
 // left labels always win the final minimum.
 //
 // The four phases execute as one fused walk per column (slap.RunFused):
-// the sequential engine visits each column once, running make-set/union,
-// find-all, label, and assign back to back while the column's packed
-// bits, union–find arrays, and satellites are cache-hot, instead of
-// walking the whole array four times. Each phase keeps its own virtual
-// clocks, links, and metrics, so the simulated accounting is
-// bit-identical to the per-phase execution (which the parallel engine
-// and the equivalence tests still use). extra, when non-nil, is a
+// the walk visits each column once, running make-set/union, find-all,
+// label, and assign back to back while the column's packed bits,
+// union–find arrays, and satellites are cache-hot, instead of walking
+// the whole array four times. Each phase keeps its own virtual clocks,
+// links, and metrics, so the simulated accounting is bit-identical to
+// the per-phase reference execution (the noFuse option, which the
+// equivalence tests run). extra, when non-nil, is a
 // trailing subphase that rides the same walk — runCC attaches the merge
 // step to the right pass this way.
 func (lb *Labeler) runPass(dir slap.Direction, extra *slap.SubPhase) []colState {
@@ -313,7 +308,7 @@ func (lb *Labeler) runPass(dir slap.Direction, extra *slap.SubPhase) []colState 
 						wa, wb := lb.witnessIn(nextBits, int(msg.A)), lb.witnessIn(nextBits, int(msg.B))
 						if wa != -1 && wb != -1 {
 							pe.Send(slap.Msg{Kind: msgUnion, A: wa, B: wb, Words: 2})
-							st.specSends++
+							lb.spec.Sends++
 							specFired++
 							speculated = true
 						}
@@ -321,7 +316,7 @@ func (lb *Labeler) runPass(dir slap.Direction, extra *slap.SubPhase) []colState 
 				}
 				if !lb.apply(pe, st, msg.A, msg.B, x != lastCol, speculated, &acc) && speculated {
 					specWasted++
-					st.specWasted++
+					lb.spec.Wasted++
 				}
 			}
 			// acc is always zero here: the eos record's arrival flushed
@@ -478,13 +473,6 @@ func (lb *Labeler) runPass(dir slap.Direction, extra *slap.SubPhase) []colState 
 		subs[i] = slap.SubPhase{}
 	}
 	lb.subs = subs[:0]
-
-	// Fold the per-PE speculation counters (kept PE-local so concurrent
-	// sweeps never touch shared labeler state).
-	for x := range cols {
-		lb.spec.Sends += cols[x].specSends
-		lb.spec.Wasted += cols[x].specWasted
-	}
 	return cols
 }
 
@@ -533,7 +521,6 @@ func (lb *Labeler) resetColState(st *colState) {
 	st.label = fillNeg(unionfind.GrowInt32(st.label, cb))
 	st.out = unionfind.GrowInt32(st.out, h)
 	st.costs = unionfind.GrowInt32(st.costs, h)
-	st.specSends, st.specWasted = 0, 0
 	lb.meters = append(lb.meters, st.uf)
 }
 

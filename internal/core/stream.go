@@ -10,13 +10,13 @@ import (
 	"slapcc/internal/obs"
 )
 
-// The frame-streaming subsystem: the per-PE parallel engine can only
-// shorten one frame's wall time, and on link-bound phases its speedup
-// saturates quickly. A video pipeline has a better axis: *frames* are
-// independent, so a pool of worker labelers — one per core, each with
-// its own warm arenas — runs whole simulations concurrently with no
-// shared mutable state at all, giving near-linear multicore scaling of
-// aggregate throughput. LabelerPool is the sharding primitive;
+// The frame-streaming subsystem: one simulation runs on one goroutine
+// (the simulated PEs keep their own virtual clocks, so host concurrency
+// inside a frame would add nothing to fidelity). A video pipeline has a
+// better axis: *frames* are independent, so a pool of worker labelers —
+// one per core, each with its own warm arenas — runs whole simulations
+// concurrently with no shared mutable state at all, giving near-linear
+// multicore scaling of aggregate throughput. LabelerPool is the sharding primitive;
 // LabelStream adds in-order delivery on top.
 
 // LabelerPool shards Label calls across a fixed set of reusable

@@ -24,13 +24,12 @@ type SubPhase struct {
 	Body func(pe *PE)
 }
 
-// fusedSub is the walk-persistent state of one subphase: its metrics,
-// the link its next consumer will read (the producer's outbound link is
-// a walk-local variable), and its backlog-tracker buffer.
+// fusedSub is the walk-persistent state of one subphase: its metrics
+// and the link its next consumer will read (the producer's outbound
+// link is a walk-local variable).
 type fusedSub struct {
 	phase PhaseMetrics
 	in    *link
-	pend  []int64
 }
 
 // DisableFusion makes RunFused execute its subphases as separate
@@ -39,21 +38,13 @@ type fusedSub struct {
 // tests and ablations run both and compare metrics bit for bit.
 func (mc *Machine) DisableFusion() { mc.fuseOff = true }
 
-// FusedSweeps reports whether RunFused will actually fuse: false in
-// parallel mode (the concurrent engine handles pipeline parallelism
-// itself) and after DisableFusion. Callers that prepare per-column
-// state lazily inside the walk must prepare it up front when this is
-// false, because the per-phase executors visit columns phase by phase
-// (and, on the concurrent engine, from several goroutines).
-func (mc *Machine) FusedSweeps() bool { return !mc.parallel && !mc.fuseOff }
-
 // RunFused executes subs as one fused walk over the array in the order
 // of dir: per position, prep (when non-nil, host-side state setup that
 // charges nothing) runs first, then every subphase body back to back.
-// When FusedSweeps is false it delegates to the per-phase executors:
-// all preps first, then each subphase via RunSweep or RunLocal.
+// After DisableFusion it delegates to the per-phase executors: all
+// preps first, then each subphase via RunSweep or RunLocal.
 func (mc *Machine) RunFused(dir Direction, prep func(idx int), subs []SubPhase) {
-	if !mc.FusedSweeps() {
+	if mc.fuseOff {
 		if prep != nil {
 			for pos := 0; pos < mc.n; pos++ {
 				idx := pos
@@ -73,7 +64,7 @@ func (mc *Machine) RunFused(dir Direction, prep func(idx int), subs []SubPhase) 
 		return
 	}
 
-	// Grow the walk arena; per-sub pend buffers are kept across runs.
+	// Grow the walk arena.
 	if cap(mc.fusedSubs) < len(subs) {
 		grown := make([]fusedSub, len(subs))
 		copy(grown, mc.fusedSubs)
@@ -100,22 +91,11 @@ func (mc *Machine) RunFused(dir Direction, prep func(idx int), subs []SubPhase) 
 			if !subs[i].Local && pos < mc.n-1 {
 				out = mc.acquireLink()
 			}
-			*pe = PE{Index: idx, cost: mc.cost, in: s.in, out: out, pendCons: s.pend[:0]}
+			*pe = PE{Index: idx, cost: mc.cost, in: s.in, out: out}
 			subs[i].Body(pe)
 			mc.foldPE(&s.phase, pe)
-			s.pend = pe.pendCons[:0]
 			if s.in != nil {
-				// Same queue-peak bookkeeping as runSweepSeq: the consumer
-				// streamed its own peak; a rescan only matters for links
-				// with unconsumed records.
-				q := pe.maxBacklog
-				if s.in.consumed != len(s.in.msgs) {
-					q = peakBacklog(s.in)
-				}
-				if q > s.phase.MaxQueue {
-					s.phase.MaxQueue = q
-				}
-				mc.releaseLink(s.in)
+				mc.foldLink(&s.phase, s.in)
 			}
 			s.in = out
 		}

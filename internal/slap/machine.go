@@ -66,28 +66,6 @@ type PE struct {
 	out    *link
 	idleFn func()
 
-	// noPoll marks parallel-mode execution, where the non-blocking Recv
-	// poll is unsupported (see parallel.go) — also on the sequential
-	// executor when it stands in for the concurrent engine, so programs
-	// behave identically on every host.
-	noPoll bool
-
-	// Batched link endpoints of the concurrent engine (see parallel.go);
-	// nil in sequential mode.
-	inCh     chan []timedMsg
-	outCh    chan []timedMsg
-	inBuf    []timedMsg
-	inPos    int
-	outBuf   []timedMsg
-	pool     chan []timedMsg
-	batchCap int
-
-	// Streaming peak-backlog tracker (consumer side, concurrent engine):
-	// consume times of not-yet-retired records, a sliding window.
-	pendCons   []int64
-	pendHead   int
-	maxBacklog int
-
 	busy     int64
 	idleTime int64
 	sends    int64
@@ -123,20 +101,16 @@ func (pe *PE) DeclareMemory(words int64) {
 // HasIn reports whether the PE has an inbound link (false for the first
 // PE of a sweep, which the paper's pseudocode special-cases as "if i = 0
 // then incoming ← eos").
-func (pe *PE) HasIn() bool { return pe.in != nil || pe.inCh != nil }
+func (pe *PE) HasIn() bool { return pe.in != nil }
 
 // HasOut reports whether the PE has an outbound link (false for the last
 // PE of a sweep).
-func (pe *PE) HasOut() bool { return pe.out != nil || pe.outCh != nil }
+func (pe *PE) HasOut() bool { return pe.out != nil }
 
 // Send transmits m to the next PE of the sweep. Transmission occupies the
 // sender for Words×WordSteps, and the record becomes available to the
 // receiver when the last word has crossed.
 func (pe *PE) Send(m Msg) {
-	if pe.outCh != nil {
-		pe.sendCh(m)
-		return
-	}
 	if pe.out == nil {
 		pe.sendNoLink()
 	}
@@ -158,9 +132,6 @@ func (pe *PE) sendNoLink() {
 // ok=false when the queue is empty at this instant — the paper's
 // "Dequeue returns nil if empty queue".
 func (pe *PE) Recv() (m Msg, ok bool) {
-	if pe.noPoll {
-		panic(errRecvParallel(pe.Index))
-	}
 	pe.clock += pe.cost.QueueOp
 	pe.busy += pe.cost.QueueOp
 	if pe.in == nil || pe.in.consumed == len(pe.in.msgs) {
@@ -175,7 +146,6 @@ func (pe *PE) Recv() (m Msg, ok bool) {
 	pe.in.consumed++
 	next.consumeAt = pe.clock
 	pe.recvs++
-	pe.noteBacklog(next.ready, pe.clock)
 	return next.msg, true
 }
 
@@ -187,9 +157,6 @@ func (pe *PE) Recv() (m Msg, ok bool) {
 // record — for Algorithm CC, which closes every stream with an eos
 // record, that indicates a protocol violation.
 func (pe *PE) RecvWait() (m Msg, ok bool) {
-	if pe.inCh != nil {
-		return pe.recvWaitCh()
-	}
 	if pe.in == nil || pe.in.consumed == len(pe.in.msgs) {
 		return Msg{}, false
 	}
@@ -223,7 +190,6 @@ func (pe *PE) RecvWait() (m Msg, ok bool) {
 	pe.in.consumed++
 	next.consumeAt = pe.clock
 	pe.recvs++
-	pe.noteBacklog(next.ready, pe.clock)
 	return next.msg, true
 }
 
@@ -293,26 +259,17 @@ func (m *Metrics) Phase(name string) (PhaseMetrics, bool) {
 // in which case its internal link and PE scratch memory is recycled —
 // the hot path of a reused machine allocates nothing.
 type Machine struct {
-	n        int
-	cost     CostModel
-	metrics  Metrics
-	profile  bool
-	parallel bool
-	// alwaysConcurrent forces the concurrent sweep engine even when the
-	// host has no parallelism (tests exercise the engine with it).
-	alwaysConcurrent bool
+	n       int
+	cost    CostModel
+	metrics Metrics
+	profile bool
 	// fuseOff makes RunFused run its subphases as separate per-phase
 	// walks (the reference executor; see fused.go).
 	fuseOff bool
-	// batchSize/linkDepth tune the concurrent engine's batched links
-	// (see parallel.go); Reset restores the GOMAXPROCS-aware defaults.
-	batchSize int
-	linkDepth int
 
 	// Arenas reused across phases and runs.
 	scratchPE PE
 	freeLinks []*link
-	pendBuf   []int64 // backlog-tracker buffer handed to the scratch PE
 	fusedSubs []fusedSub
 }
 
@@ -341,25 +298,8 @@ func (mc *Machine) Reset(n int, cost CostModel) {
 	mc.n = n
 	mc.cost = cost
 	mc.profile = false
-	mc.parallel = false
 	mc.fuseOff = false
-	mc.batchSize, mc.linkDepth = DefaultLinkTuning()
 	mc.metrics = Metrics{N: n, Phases: mc.metrics.Phases[:0]}
-}
-
-// SetLinkTuning overrides the concurrent engine's batched-link
-// parameters for subsequently executed phases: batch is the number of
-// records a producer accumulates before publishing, depth the number of
-// published batches in flight per link. Zero (or negative) keeps the
-// current value. Both affect only host-side wall time and memory; the
-// simulated metrics are identical at every setting (tests enforce it).
-func (mc *Machine) SetLinkTuning(batch, depth int) {
-	if batch > 0 {
-		mc.batchSize = batch
-	}
-	if depth > 0 {
-		mc.linkDepth = depth
-	}
 }
 
 // N returns the number of PEs.
@@ -446,19 +386,12 @@ func (mc *Machine) RunLocal(name string, body func(pe *PE)) int64 {
 // inbound link to its predecessor's outbound link. Communication must be
 // unidirectional (enforced by construction: there are no backward links).
 // The phase makespan is the maximum PE completion time.
+//
+// The sweep runs in topological order. At most two link buffers are ever
+// live — the one the current PE consumes and the one it produces; a link
+// is folded into the queue statistics and recycled as soon as its
+// consumer finishes, so a sweep over a reused machine allocates nothing.
 func (mc *Machine) RunSweep(name string, dir Direction, body func(pe *PE)) int64 {
-	if mc.parallel {
-		return mc.runSweepParallel(name, dir, body)
-	}
-	return mc.runSweepSeq(name, dir, body, false)
-}
-
-// runSweepSeq executes the sweep on the calling goroutine in topological
-// order. At most two link buffers are ever live — the one the current PE
-// consumes and the one it produces; a link is folded into the queue
-// statistics and recycled as soon as its consumer finishes, so a sweep
-// over a reused machine allocates nothing.
-func (mc *Machine) runSweepSeq(name string, dir Direction, body func(pe *PE), noPoll bool) int64 {
 	var phase PhaseMetrics
 	phase.Name = name
 	var in, out *link
@@ -472,23 +405,11 @@ func (mc *Machine) runSweepSeq(name string, dir Direction, body func(pe *PE), no
 		if pos < mc.n-1 {
 			out = mc.acquireLink()
 		}
-		*pe = PE{Index: idx, cost: mc.cost, in: in, out: out, noPoll: noPoll, pendCons: mc.pendBuf[:0]}
+		*pe = PE{Index: idx, cost: mc.cost, in: in, out: out}
 		body(pe)
 		mc.foldPE(&phase, pe)
-		mc.pendBuf = pe.pendCons[:0]
 		if in != nil {
-			// The consumer streamed its own peak backlog; a full link
-			// rescan is only needed when records were left unconsumed
-			// (impossible for the eos-terminated programs in this
-			// repository, but legal for the machine).
-			q := pe.maxBacklog
-			if in.consumed != len(in.msgs) {
-				q = peakBacklog(in)
-			}
-			if q > phase.MaxQueue {
-				phase.MaxQueue = q
-			}
-			mc.releaseLink(in)
+			mc.foldLink(&phase, in)
 		}
 		in = out
 	}
@@ -515,6 +436,15 @@ func (mc *Machine) foldPE(phase *PhaseMetrics, pe *PE) {
 	if pe.memWords > mc.metrics.PEMemory {
 		mc.metrics.PEMemory = pe.memWords
 	}
+}
+
+// foldLink folds the queue peak of a link whose consumer has finished
+// into the phase and returns the link to the arena.
+func (mc *Machine) foldLink(phase *PhaseMetrics, l *link) {
+	if q := peakBacklog(l); q > phase.MaxQueue {
+		phase.MaxQueue = q
+	}
+	mc.releaseLink(l)
 }
 
 // peakBacklog computes the maximum number of records simultaneously

@@ -1,6 +1,7 @@
 package slap
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -249,25 +250,61 @@ func TestBitSerialWordCost(t *testing.T) {
 	}
 }
 
+// TestQueueBacklogPeak pins the one queue-peak path (peakBacklog over
+// each finished link) under both sweep executors, including consumers
+// that leave records on the link.
 func TestQueueBacklogPeak(t *testing.T) {
-	m := NewMachine(2, Unit())
-	m.RunSweep("burst", LeftToRight, func(pe *PE) {
-		if pe.Index == 0 {
-			for i := 0; i < 5; i++ {
-				pe.Send(Msg{Kind: uint8(i)})
+	// burst sends five records at once; the consumer lets them pile up,
+	// then receives only `consume` of them.
+	burst := func(consume int) func(pe *PE) {
+		return func(pe *PE) {
+			if pe.Index == 0 {
+				for i := 0; i < 5; i++ {
+					pe.Send(Msg{Kind: uint8(i)})
+				}
+				return
 			}
-			return
-		}
-		pe.Tick(100) // let everything pile up
-		for i := 0; i < 5; i++ {
-			if _, ok := pe.RecvWait(); !ok {
-				t.Fatal("missing record")
+			pe.Tick(100)
+			for i := 0; i < consume; i++ {
+				if _, ok := pe.RecvWait(); !ok {
+					t.Fatal("missing record")
+				}
 			}
 		}
-	})
-	mt := m.Metrics()
-	if mt.MaxQueue != 5 {
-		t.Fatalf("peak backlog: want 5, got %d", mt.MaxQueue)
+	}
+	// lead is a first subphase with a backlog of one, so the fused rows
+	// check that each subphase keeps its own peak.
+	lead := func(pe *PE) {
+		if pe.HasOut() {
+			pe.Send(Msg{})
+		}
+		if pe.HasIn() {
+			pe.RecvWait()
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(m *Machine, body func(pe *PE))
+	}{
+		{"sweep", func(m *Machine, body func(pe *PE)) { m.RunSweep("burst", LeftToRight, body) }},
+		{"fused", func(m *Machine, body func(pe *PE)) {
+			m.RunFused(LeftToRight, nil, []SubPhase{{Name: "lead", Body: lead}, {Name: "burst", Body: body}})
+		}},
+	} {
+		for _, consume := range []int{5, 2, 0} {
+			m := NewMachine(2, Unit())
+			tc.run(m, burst(consume))
+			mt := m.Metrics()
+			if mt.MaxQueue != 5 {
+				t.Errorf("%s/consume%d: peak backlog: want 5, got %d", tc.name, consume, mt.MaxQueue)
+			}
+			if p, _ := mt.Phase("burst"); p.MaxQueue != 5 {
+				t.Errorf("%s/consume%d: burst phase peak: want 5, got %d", tc.name, consume, p.MaxQueue)
+			}
+			if p, ok := mt.Phase("lead"); ok && p.MaxQueue != 1 {
+				t.Errorf("%s/consume%d: lead phase peak: want 1, got %d", tc.name, consume, p.MaxQueue)
+			}
+		}
 	}
 }
 
@@ -364,10 +401,9 @@ func TestProfilePerPE(t *testing.T) {
 	if m2.Metrics().Phases[0].PerPE != nil {
 		t.Fatal("PerPE should be nil without profiling")
 	}
-	// Profile works in parallel sweeps too, indexed by PE position.
+	// Sweeps profile too, indexed by PE position.
 	m3 := NewMachine(3, Unit())
 	m3.EnableProfile()
-	m3.EnableParallel()
 	m3.RunSweep("s", LeftToRight, func(pe *PE) {
 		pe.Tick(int64(pe.Index + 1))
 		if pe.HasIn() {
@@ -381,7 +417,7 @@ func TestProfilePerPE(t *testing.T) {
 	})
 	pp := m3.Metrics().Phases[0].PerPE
 	if len(pp) != 3 || pp[0] <= 0 || pp[2] <= pp[0] {
-		t.Fatalf("parallel sweep profile wrong: %v", pp)
+		t.Fatalf("sweep profile wrong: %v", pp)
 	}
 }
 
@@ -415,7 +451,7 @@ func TestMachineResetMatchesFresh(t *testing.T) {
 	reused := NewMachine(9, BitSerial(4))
 	run(reused) // dirty it
 	reused.Reset(6, Unit())
-	if got := run(reused); !metricsEqual(fresh, got) {
+	if got := run(reused); !reflect.DeepEqual(fresh, got) {
 		t.Fatalf("reset machine diverges:\nfresh  %+v\nreused %+v", fresh, got)
 	}
 	// The copy Metrics returns must survive a Reset.

@@ -48,10 +48,8 @@ func sampled(name string, samples []float64, attrs map[string]string) benchfmt.R
 	return r
 }
 
-// runEngine: the PR 2/PR 8 engine matrix — sequential simulator,
-// parallel simulator at every GOMAXPROCS point, host engine, and the
-// bit-serial cost model. The gmp>1 rows are the repo's first
-// measurements with the scheduler actually allowed extra procs.
+// runEngine: the PR 2/PR 8 engine matrix — the simulator, the host
+// engine, and the bit-serial cost model.
 func runEngine(cfg Config) ([]benchfmt.Result, error) {
 	n := cfg.scale(1024, 128)
 	img := bitmap.Random(n, 0.5, cfg.Seed)
@@ -69,20 +67,6 @@ func runEngine(cfg Config) ([]benchfmt.Result, error) {
 		return nil, err
 	}
 	res = append(res, sampled("core/engine-seq/mb_per_s", seq, nil))
-
-	for _, p := range cfg.GoMaxProcs {
-		var par []float64
-		err := withGMP(p, func() error {
-			var err error
-			par, err = sampleMBs(cfg.Count, 1, pixels, label(core.Options{Parallel: true}))
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		res = append(res, sampled(fmt.Sprintf("core/engine-par/gmp%d/mb_per_s", p), par,
-			map[string]string{"gomaxprocs": fmt.Sprint(p)}))
-	}
 
 	host, err := sampleMBs(cfg.Count, cfg.scale(8, 2), pixels, label(core.Options{Engine: core.EngineHost}))
 	if err != nil {
@@ -208,72 +192,4 @@ func runReuse(cfg Config) ([]benchfmt.Result, error) {
 		sampled("core/reuse/mb_per_s", samples, nil),
 		{Name: "core/reuse/allocs_per_frame", Unit: "allocs/frame", Value: allocs},
 	}, nil
-}
-
-// runLinkTune: the parallel engine's BatchSize x LinkDepth grid at the
-// sweep's top GOMAXPROCS point — the data slap.DefaultLinkTuning's
-// defaults are tuned from. All informational: a tuning surface, not a
-// gate.
-func runLinkTune(cfg Config) ([]benchfmt.Result, error) {
-	n := cfg.scale(512, 96)
-	img := bitmap.Random(n, 0.5, cfg.Seed)
-	pixels := int64(n) * int64(n)
-	gmp := cfg.GoMaxProcs[len(cfg.GoMaxProcs)-1]
-	batches := []int{64, 256, 1024}
-	depths := []int{2, 8, 32}
-	if cfg.Short {
-		batches, depths = []int{256}, []int{8}
-	}
-	var res []benchfmt.Result
-	err := withGMP(gmp, func() error {
-		defBatch, defDepth := slap.DefaultLinkTuning()
-		for _, b := range batches {
-			for _, dep := range depths {
-				opt := core.Options{Parallel: true, BatchSize: b, LinkDepth: dep}
-				samples, err := sampleMBs(cfg.Count, 1, pixels, func() error {
-					_, err := core.Label(img, opt)
-					return err
-				})
-				if err != nil {
-					return err
-				}
-				r := benchfmt.Result{
-					Name: fmt.Sprintf("core/linktune/b%d-d%d/mb_per_s", b, dep),
-					Unit: "MB/s", Samples: samples,
-					Attrs: map[string]string{
-						"gomaxprocs": fmt.Sprint(gmp),
-						"batch":      fmt.Sprint(b),
-						"depth":      fmt.Sprint(dep),
-					},
-				}
-				r.Value = r.Mean()
-				res = append(res, r)
-			}
-		}
-		// The defaults' own point, so the grid shows where the shipped
-		// tuning sits relative to the alternatives.
-		samples, err := sampleMBs(cfg.Count, 1, pixels, func() error {
-			_, err := core.Label(img, core.Options{Parallel: true})
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		r := benchfmt.Result{
-			Name: "core/linktune/default/mb_per_s", Unit: "MB/s", Samples: samples,
-			Attrs: map[string]string{
-				"gomaxprocs": fmt.Sprint(gmp),
-				"batch":      fmt.Sprint(defBatch),
-				"depth":      fmt.Sprint(defDepth),
-			},
-			Note: "slap.DefaultLinkTuning as shipped",
-		}
-		r.Value = r.Mean()
-		res = append(res, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -51,15 +51,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"slapcc"
-	"slapcc/api"
 	"slapcc/client"
 	"slapcc/internal/cluster"
 	"slapcc/internal/cluster/chaos"
-	"slapcc/internal/obs"
+	"slapcc/internal/loadgen"
 	"slapcc/internal/server"
 )
 
@@ -258,112 +256,6 @@ func parseSchedule(s string, backends int) ([]event, error) {
 	return evs, nil
 }
 
-// ---- verified traffic ------------------------------------------------
-
-// workItem is one pre-verified request shape the loop fires repeatedly.
-type workItem struct {
-	name  string
-	kind  string // label | aggregate
-	data  []byte
-	ctype string
-	p     api.Params
-
-	wantLabels []int32
-	wantTime   int64
-	wantPixels []int32 // aggregate only
-	w, h       int
-}
-
-// buildWork precomputes the traffic mix: whole-image labels,
-// strip-mined labels (the shape that fans out across the fleet), and
-// strip-mined aggregates, each with its in-process reference answer.
-// The engine builds the references: the host engine produces the same
-// labels and folds as the simulator without simulating, so the soak's
-// verification setup is ~free; only a sim-built reference pins the
-// composed TimeSteps too (a host reference stores −1, skipping that
-// comparison in fire).
-func buildWork(sizes []int, array int, density float64, engine slapcc.Engine) ([]workItem, error) {
-	simRef := engine != slapcc.EngineHost
-	refTime := func(t int64) int64 {
-		if simRef {
-			return t
-		}
-		return -1
-	}
-	var work []workItem
-	seed := uint64(0xC0)
-	for _, n := range sizes {
-		for k := 0; k < 2; k++ {
-			img := slapcc.RandomImage(n, density, seed)
-			seed++
-			data, ctype, err := client.EncodeImage(img, "raw")
-			if err != nil {
-				return nil, err
-			}
-			whole, err := slapcc.LabelWithOptions(img, slapcc.Options{Engine: engine})
-			if err != nil {
-				return nil, err
-			}
-			work = append(work, workItem{
-				name: fmt.Sprintf("label-%d-%d", n, k), kind: "label",
-				data: data, ctype: ctype,
-				p:          api.Params{WantLabels: true},
-				wantLabels: flatten(whole.Labels), wantTime: refTime(whole.Metrics.Time),
-				w: img.W(), h: img.H(),
-			})
-			if array > 0 && array < n {
-				strip, err := slapcc.LabelLarge(img, slapcc.Options{ArrayWidth: array, Engine: engine})
-				if err != nil {
-					return nil, err
-				}
-				work = append(work, workItem{
-					name: fmt.Sprintf("label-%d-%d-aw%d", n, k, array), kind: "label",
-					data: data, ctype: ctype,
-					p:          api.Params{ArrayWidth: array, WantLabels: true},
-					wantLabels: flatten(strip.Labels), wantTime: refTime(strip.Metrics.Time),
-					w: img.W(), h: img.H(),
-				})
-				agg, err := slapcc.AggregateLarge(img, slapcc.OnesOf(img), slapcc.SumOf(), slapcc.Options{ArrayWidth: array, Engine: engine})
-				if err != nil {
-					return nil, err
-				}
-				work = append(work, workItem{
-					name: fmt.Sprintf("agg-%d-%d-aw%d", n, k, array), kind: "aggregate",
-					data: data, ctype: ctype,
-					p:          api.Params{Op: "sum", ArrayWidth: array, WantLabels: true},
-					wantLabels: flatten(agg.Labels), wantTime: refTime(agg.Metrics.Time),
-					wantPixels: agg.PerPixel,
-					w:          img.W(), h: img.H(),
-				})
-			}
-		}
-	}
-	if len(work) == 0 {
-		return nil, fmt.Errorf("empty work mix (sizes %v, array %d)", sizes, array)
-	}
-	return work, nil
-}
-
-func flatten(lm *slapcc.LabelMap) []int32 {
-	out := make([]int32, 0, lm.W()*lm.H())
-	for x := 0; x < lm.W(); x++ {
-		out = append(out, lm.ColumnSlice(x)...)
-	}
-	return out
-}
-
-func labelsMatch(got []int32, want []int32) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ---- report ----------------------------------------------------------
 
 type report struct {
@@ -378,14 +270,8 @@ type report struct {
 		Deadline    int64 `json:"deadline_504"`
 		Unexplained int64 `json:"unexplained"`
 	} `json:"errors"`
-	LatencyMS struct {
-		P50  float64 `json:"p50"`
-		P95  float64 `json:"p95"`
-		P99  float64 `json:"p99"`
-		Mean float64 `json:"mean"`
-		Max  float64 `json:"max"`
-	} `json:"latency_ms"`
-	Bursts struct {
+	LatencyMS loadgen.Dist `json:"latency_ms"`
+	Bursts    struct {
 		Fired       int `json:"fired"`
 		OK          int `json:"ok"`
 		Rejected429 int `json:"rejected_429"`
@@ -435,6 +321,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop := make(chan struct{})
+	loop := loadgen.Loop{Concurrency: *conc, Stop: stop, Deadline: *reqWait}
+	if err := loop.Validate(); err != nil {
+		return err
+	}
 	var refEngine slapcc.Engine
 	switch strings.ToLower(*verifyEn) {
 	case "host":
@@ -444,7 +335,7 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("bad -verifyengine %q (want host or sim)", *verifyEn)
 	}
-	sizeList, err := parseInts(*sizes)
+	sizeList, err := loadgen.ParseSizes(*sizes)
 	if err != nil {
 		return fmt.Errorf("bad -sizes: %w", err)
 	}
@@ -456,7 +347,16 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	work, err := buildWork(sizeList, *array, *density, refEngine)
+	// The traffic mix: whole-image labels, strip-mined labels (the shape
+	// that fans out across the fleet) and strip-mined aggregates, each
+	// with its in-process reference. The host engine builds the same
+	// labels and folds as the simulator without simulating, so soak
+	// verification is ~free; only a sim-built reference pins composed
+	// TimeSteps too.
+	work, _, err := loadgen.Corpus{
+		Sizes: sizeList, Formats: []string{"raw"}, PerSize: 2, Density: *density,
+		Seed: 0xC0, Array: *array, Mix: loadgen.Every, Ref: refEngine,
+	}.Build()
 	if err != nil {
 		return err
 	}
@@ -507,70 +407,10 @@ func run(args []string, out io.Writer) error {
 	// The traffic loop: -conc clients, each request verified against its
 	// precomputed reference. The client retries 429/503 internally; what
 	// surfaces here is classified for the SLO ledger.
-	c := client.New(frontURL, client.WithMaxRetries(6), client.WithMaxRetryWait(500*time.Millisecond))
-	stop := make(chan struct{})
-	var (
-		next             atomic.Int64
-		requests         atomic.Int64
-		mismatches       atomic.Int64
-		shed             atomic.Int64
-		deadline504      atomic.Int64
-		unexplained      atomic.Int64
-		firstUnexplained atomic.Value
-		traceChecked     atomic.Int64
-		traceBreaches    atomic.Int64
-		firstTraceBad    atomic.Value
-		latMu            sync.Mutex
-		lats             []time.Duration
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < *conc; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]time.Duration, 0, 1024)
-			for {
-				select {
-				case <-stop:
-					latMu.Lock()
-					lats = append(lats, local...)
-					latMu.Unlock()
-					return
-				default:
-				}
-				wi := &work[int(next.Add(1))%len(work)]
-				ctx, cancel := context.WithTimeout(context.Background(), *reqWait)
-				// The request carries a trace so the client grafts the
-				// coordinator's Server-Timing stages under it.
-				tr := obs.New("", wi.name, nil)
-				t0 := time.Now()
-				ok, err := fire(obs.ContextWith(ctx, tr.Root()), c, wi)
-				d := time.Since(t0)
-				tr.Finish()
-				cancel()
-				requests.Add(1)
-				switch {
-				case err == nil:
-					local = append(local, d)
-					if !ok {
-						mismatches.Add(1)
-					}
-					traceChecked.Add(1)
-					if msg := auditTrace(tr, d); msg != "" {
-						traceBreaches.Add(1)
-						firstTraceBad.CompareAndSwap(nil, wi.name+": "+msg)
-					}
-				case isShed(err):
-					shed.Add(1)
-				case isDeadline(err):
-					deadline504.Add(1)
-				default:
-					unexplained.Add(1)
-					firstUnexplained.CompareAndSwap(nil, fmt.Sprintf("%s: %v", wi.name, err))
-				}
-			}
-		}()
-	}
+	loop.Client = loadgen.NewClient(frontURL, 6, 500*time.Millisecond, 0)
+	loop.Frames = work
+	burster := client.New(frontURL, client.WithMaxRetries(0), client.WithHTTPClient(&http.Client{Timeout: *reqWait}))
+	ctx := context.Background()
 
 	// The fault scheduler walks the event list against the soak clock.
 	soakStart := time.Now()
@@ -608,35 +448,41 @@ func run(args []string, out io.Writer) error {
 			case "truncate":
 				fleet[ev.backend].window(chaos.Truncate, 0, ev.window)
 			case "burst":
-				ok, rej, errs := fireBurst(frontURL, work, ev.burst, *reqWait)
-				rep.Bursts.Fired += ev.burst
-				rep.Bursts.OK += ok
-				rep.Bursts.Rejected429 += rej
-				rep.Bursts.Errors += errs
+				// The overload probe: 429/503 shedding is the expected
+				// answer at the margin.
+				t := loadgen.Burst(ctx, burster, work, ev.burst)
+				rep.Bursts.Fired += t.Total()
+				rep.Bursts.OK += t.OK
+				rep.Bursts.Rejected429 += t.Shed429 + t.Shed503
+				rep.Bursts.Errors += t.Deadline + t.Other
 			}
 		}
 	}()
 
-	time.Sleep(*duration)
-	close(stop)
-	wg.Wait()
+	timer := time.AfterFunc(*duration, func() { close(stop) })
+	st, err := loop.Run(ctx)
+	if err != nil {
+		if timer.Stop() {
+			close(stop)
+		}
+		<-schedDone
+		return err
+	}
 	<-schedDone
 	rep.DurationS = time.Since(soakStart).Seconds()
 
-	rep.Requests = requests.Load()
-	rep.Mismatches = mismatches.Load()
-	rep.Errors.Shed = shed.Load()
-	rep.Errors.Deadline = deadline504.Load()
-	rep.Errors.Unexplained = unexplained.Load()
-	if s, ok := firstUnexplained.Load().(string); ok {
-		rep.FirstUnexplained = s
+	rep.Requests = int64(st.Outcomes.Total())
+	rep.Mismatches = int64(st.Mismatches)
+	rep.Errors.Shed = int64(st.Outcomes.Shed429 + st.Outcomes.Shed503)
+	rep.Errors.Deadline = int64(st.Outcomes.Deadline)
+	rep.Errors.Unexplained = int64(st.Outcomes.Other)
+	if st.FirstOther != nil {
+		rep.FirstUnexplained = st.FirstOther.Error()
 	}
-	rep.Trace.Checked = traceChecked.Load()
-	rep.Trace.Breaches = traceBreaches.Load()
-	if s, ok := firstTraceBad.Load().(string); ok {
-		rep.Trace.FirstBreach = s
-	}
-	fillLatency(rep, lats)
+	rep.Trace.Checked = int64(st.Outcomes.OK)
+	rep.Trace.Breaches = int64(st.TraceBreaches)
+	rep.Trace.FirstBreach = st.FirstBreach
+	rep.LatencyMS = st.LatencyMS()
 
 	// Drain check: with traffic stopped, every backend's outstanding
 	// gauge must return to zero — a leaked hedge or unreleased slot
@@ -702,117 +548,6 @@ func defaultSchedule(d time.Duration) string {
 		f(3) + ":err500:2:" + (fifth / 2).String(),
 		f(4) + ":burst:32",
 	}, ";")
-}
-
-// fire sends one verified request; ok=false means the answer diverged
-// from the in-process reference.
-func fire(ctx context.Context, c *client.Client, wi *workItem) (bool, error) {
-	switch wi.kind {
-	case "aggregate":
-		resp, err := c.AggregateData(ctx, wi.data, wi.ctype, wi.p)
-		if err != nil {
-			return false, err
-		}
-		if (wi.wantTime >= 0 && resp.Metrics.TimeSteps != wi.wantTime) || !labelsMatch(resp.Labels, wi.wantLabels) {
-			return false, nil
-		}
-		if len(resp.PerPixel) != len(wi.wantPixels) {
-			return false, nil
-		}
-		for i, v := range wi.wantPixels {
-			if resp.PerPixel[i] != v {
-				return false, nil
-			}
-		}
-		return true, nil
-	default:
-		resp, err := c.LabelData(ctx, wi.data, wi.ctype, wi.p)
-		if err != nil {
-			return false, err
-		}
-		return resp.Width == wi.w && resp.Height == wi.h &&
-			(wi.wantTime < 0 || resp.Metrics.TimeSteps == wi.wantTime) &&
-			labelsMatch(resp.Labels, wi.wantLabels), nil
-	}
-}
-
-// auditTrace cross-checks a successful request's grafted Server-Timing
-// stages against its wall time: stages must be present (the service
-// always emits the breakdown on success), and their sum cannot exceed
-// the wall time the client observed — each top-level stage is a
-// disjoint slice of the coordinator's handling. The margin absorbs
-// rounding (durations ride the header in milliseconds) and scheduling
-// slop.
-func auditTrace(tr *obs.Trace, wall time.Duration) string {
-	stages := tr.Stages()
-	if len(stages) == 0 {
-		return "success with no Server-Timing stages"
-	}
-	var sum time.Duration
-	for _, st := range stages {
-		sum += st.Dur
-	}
-	if limit := wall + wall/10 + 25*time.Millisecond; sum > limit {
-		return fmt.Sprintf("stage sum %v exceeds wall %v", sum, wall)
-	}
-	return ""
-}
-
-// fireBurst is the overload probe: burst concurrent no-retry requests;
-// 429/503 shedding is the expected answer at the margin.
-func fireBurst(url string, work []workItem, burst int, timeout time.Duration) (ok, rejected, errs int) {
-	c := client.New(url, client.WithMaxRetries(0), client.WithHTTPClient(&http.Client{Timeout: timeout}))
-	var okN, rejN, errN atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			wi := &work[i%len(work)]
-			_, err := c.LabelData(context.Background(), wi.data, wi.ctype, api.Params{})
-			switch {
-			case err == nil:
-				okN.Add(1)
-			case isShed(err):
-				rejN.Add(1)
-			default:
-				errN.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return int(okN.Load()), int(rejN.Load()), int(errN.Load())
-}
-
-func isShed(err error) bool {
-	var se *client.StatusError
-	if !asStatus(err, &se) {
-		return false
-	}
-	return se.Code == http.StatusTooManyRequests || se.Code == http.StatusServiceUnavailable
-}
-
-func isDeadline(err error) bool {
-	var se *client.StatusError
-	if asStatus(err, &se) && se.Code == http.StatusGatewayTimeout {
-		return true
-	}
-	return err == context.DeadlineExceeded || strings.Contains(err.Error(), "context deadline exceeded")
-}
-
-func asStatus(err error, se **client.StatusError) bool {
-	for err != nil {
-		if s, ok := err.(*client.StatusError); ok {
-			*se = s
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // waitDrained polls slapfront's /healthz until every backend's
@@ -881,24 +616,6 @@ func scrapeCounters(frontURL string, rep *report) {
 	rep.Counters.HedgeWins = grab("slapfront_hedge_wins_total")
 }
 
-func fillLatency(rep *report, lats []time.Duration) {
-	if len(lats) == 0 {
-		return
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	pct := func(p float64) time.Duration { return lats[int(p*float64(len(lats)-1))] }
-	var sum time.Duration
-	for _, d := range lats {
-		sum += d
-	}
-	rep.LatencyMS.P50 = ms(pct(0.50))
-	rep.LatencyMS.P95 = ms(pct(0.95))
-	rep.LatencyMS.P99 = ms(pct(0.99))
-	rep.LatencyMS.Mean = ms(sum / time.Duration(len(lats)))
-	rep.LatencyMS.Max = ms(lats[len(lats)-1])
-}
-
 func summarize(out io.Writer, rep *report) {
 	fmt.Fprintf(out, "soak: %d requests in %.1fs over %d clients, %d mismatches\n",
 		rep.Requests, rep.DurationS, rep.Concurrency, rep.Mismatches)
@@ -922,16 +639,4 @@ func summarize(out io.Writer, rep *report) {
 			fmt.Fprintf(out, "SLO BREACH: %s\n", b)
 		}
 	}
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad size %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -63,3 +63,27 @@ func TestParseSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFlagErrors: bad flags fail before the fleet boots — in
+// particular a soak with no clients, which would otherwise run its
+// whole duration and only then report that no traffic completed.
+func TestRunFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-concurrency", "0"}, "concurrency"},
+		{[]string{"-verifyengine", "quantum"}, "verifyengine"},
+		{[]string{"-sizes", "nope"}, "sizes"},
+		{[]string{"-schedule", "5s:explode:0"}, "unknown kind"},
+	} {
+		out := &bytes.Buffer{}
+		err := run(append([]string{"-duration", "1h"}, tc.args...), out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: want an error mentioning %q, got %v", tc.args, tc.want, err)
+		}
+		if strings.Contains(out.String(), "slapchaos: front") {
+			t.Errorf("%v: fleet booted before the flag error:\n%s", tc.args, out.String())
+		}
+	}
+}

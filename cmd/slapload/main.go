@@ -56,16 +56,14 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"slapcc"
 	"slapcc/api"
 	"slapcc/client"
 	"slapcc/internal/benchfmt"
+	"slapcc/internal/loadgen"
 	"slapcc/internal/obs"
 )
 
@@ -76,46 +74,28 @@ func main() {
 	}
 }
 
-// spec is one pre-encoded request the loop can fire repeatedly.
-type spec struct {
-	name       string
-	data       []byte
-	ctype      string
-	params     api.Params
-	pixels     int64
-	wantLabels []int32 // nil when verification is off
-	wantTime   int64   // expected simulated makespan under params
-	w, h       int
-}
-
 // report is the JSON artifact.
 type report struct {
-	Target      string   `json:"target"`
-	Frames      int      `json:"frames"`
-	Concurrency int      `json:"concurrency"`
-	Sizes       []int    `json:"sizes"`
-	Formats     []string `json:"formats"`
-	ArrayWidth  int      `json:"array_width,omitempty"`
-	Cluster     bool     `json:"cluster,omitempty"`
-	DurationS   float64  `json:"duration_s"`
-	FramesPerS  float64  `json:"frames_per_s"`
-	MBPerS      float64  `json:"mb_per_s"`
-	PixelMBPerS float64  `json:"pixel_mb_per_s"`
-	BytesSent   int64    `json:"bytes_sent"`
-	LatencyMS   struct {
-		P50  float64 `json:"p50"`
-		P95  float64 `json:"p95"`
-		P99  float64 `json:"p99"`
-		Mean float64 `json:"mean"`
-		Max  float64 `json:"max"`
-	} `json:"latency_ms"`
-	Errors     int    `json:"errors"`
-	Retried429 int64  `json:"retried_429"`
-	Cost       string `json:"cost,omitempty"`
+	Target      string       `json:"target"`
+	Frames      int          `json:"frames"`
+	Concurrency int          `json:"concurrency"`
+	Sizes       []int        `json:"sizes"`
+	Formats     []string     `json:"formats"`
+	ArrayWidth  int          `json:"array_width,omitempty"`
+	Cluster     bool         `json:"cluster,omitempty"`
+	DurationS   float64      `json:"duration_s"`
+	FramesPerS  float64      `json:"frames_per_s"`
+	MBPerS      float64      `json:"mb_per_s"`
+	PixelMBPerS float64      `json:"pixel_mb_per_s"`
+	BytesSent   int64        `json:"bytes_sent"`
+	LatencyMS   loadgen.Dist `json:"latency_ms"`
+	Errors      int          `json:"errors"`
+	Retried429  int64        `json:"retried_429"`
+	Cost        string       `json:"cost,omitempty"`
 	// ServerStages breaks the server's own wall time down by stage, from
 	// the Server-Timing headers the service emits: where p99 actually
 	// went (queue? decode? label?) rather than one opaque latency number.
-	ServerStages map[string]stagePct `json:"server_stages,omitempty"`
+	ServerStages map[string]loadgen.Dist `json:"server_stages,omitempty"`
 	Verify       struct {
 		Enabled bool `json:"enabled"`
 		// Engine is what built the references: "sim" re-runs the
@@ -126,9 +106,8 @@ type report struct {
 		Mismatches int    `json:"mismatches"`
 		// BuildRefS is the time spent precomputing references before the
 		// loop; CheckS is the cumulative time comparing responses inside
-		// it. Both used to hide in corpus-build wall time and loop
-		// throughput; reporting them separately keeps the loop's frames/s
-		// an honest service number.
+		// it. Reporting them apart keeps the loop's frames/s an honest
+		// service number.
 		BuildRefS float64 `json:"build_ref_s"`
 		CheckS    float64 `json:"check_s"`
 	} `json:"verify"`
@@ -150,30 +129,6 @@ type report struct {
 		Rejected429 int `json:"rejected_429"`
 		Errors      int `json:"errors"`
 	} `json:"overload"`
-}
-
-// stagePct is one server-side stage's latency distribution in ms.
-type stagePct struct {
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-	N   int     `json:"n"`
-}
-
-// counting429 counts 429 responses passing through the transport, so
-// the report shows how often the admission queue pushed back even when
-// retries eventually succeeded.
-type counting429 struct {
-	rt http.RoundTripper
-	n  atomic.Int64
-}
-
-func (c *counting429) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := c.rt.RoundTrip(req)
-	if err == nil && resp.StatusCode == http.StatusTooManyRequests {
-		c.n.Add(1)
-	}
-	return resp, err
 }
 
 func run(args []string, out io.Writer) error {
@@ -206,7 +161,11 @@ func run(args []string, out io.Writer) error {
 	if *url == "" {
 		return fmt.Errorf("need -url (start one with: slapd -addr :8117)")
 	}
-	sizeList, err := parseInts(*sizes)
+	loop := loadgen.Loop{Concurrency: *conc, Count: *frames}
+	if err := loop.Validate(); err != nil {
+		return err
+	}
+	sizeList, err := loadgen.ParseSizes(*sizes)
 	if err != nil {
 		return fmt.Errorf("bad -sizes: %w", err)
 	}
@@ -236,18 +195,24 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("bad -verifyengine %q (want sim or host)", *verifyEn)
 	}
-	checkTime := refEngine == reqEngine
 
-	specs, refDur, err := buildCorpus(sizeList, formatList, *density, *corpus, *verify, *array, *cost, refEngine, checkTime)
+	corp := loadgen.Corpus{
+		Sizes: sizeList, Formats: formatList, PerSize: *corpus, Density: *density,
+		Seed: 1, Params: api.Params{Cost: *cost}, Array: *array, Mix: loadgen.Rotate,
+	}
+	if *verify {
+		corp.Ref = refEngine
+	}
+	specs, refDur, err := corp.Build()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "corpus: %d specs (%d sizes x %d formats x %d frames)\n",
 		len(specs), len(sizeList), len(formatList), *corpus)
 
-	counter := &counting429{rt: http.DefaultTransport.(*http.Transport).Clone()}
-	hc := &http.Client{Transport: counter, Timeout: *timeout}
-	c := client.New(*url, client.WithHTTPClient(hc), client.WithMaxRetries(8), client.WithMaxRetryWait(2*time.Second))
+	loop.Client = loadgen.NewClient(*url, 8, 2*time.Second, *timeout)
+	loop.Frames = specs
+	c := loop.Client.Client
 	ctx := context.Background()
 	if err := c.Healthz(ctx); err != nil {
 		return fmt.Errorf("target not healthy: %w", err)
@@ -264,92 +229,22 @@ func run(args []string, out io.Writer) error {
 		rep.Verify.BuildRefS = refDur.Seconds()
 	}
 
-	// Warmup, uncounted: fill connection pools and the server's arenas.
-	for i := 0; i < min(*conc, len(specs)); i++ {
-		if _, err := c.LabelData(ctx, specs[i].data, specs[i].ctype, specs[i].params); err != nil {
-			return fmt.Errorf("warmup: %w", err)
-		}
+	// Phases 1–2: warmup and the closed loop.
+	st, err := loop.Run(ctx)
+	if err != nil {
+		return err
 	}
-
-	// Phase 2: the closed loop.
-	var (
-		next       atomic.Int64
-		errs       atomic.Int64
-		mismatches atomic.Int64
-		bytesSent  atomic.Int64
-		pixels     atomic.Int64
-		checkNanos atomic.Int64
-		mu         sync.Mutex
-		lats       []time.Duration
-		stageLats  = map[string][]time.Duration{}
-		firstErr   atomic.Value
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < *conc; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]time.Duration, 0, *frames / *conc + 1)
-			localStages := map[string][]time.Duration{}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= *frames {
-					break
-				}
-				sp := &specs[i%len(specs)]
-				// Each request carries a trace so the client grafts the
-				// server's Server-Timing breakdown under it; the top-level
-				// grafted spans are the server's own stages.
-				tr := obs.New("", sp.name, nil)
-				t0 := time.Now()
-				resp, err := c.LabelData(obs.ContextWith(ctx, tr.Root()), sp.data, sp.ctype, sp.params)
-				d := time.Since(t0)
-				tr.Finish()
-				if err != nil {
-					errs.Add(1)
-					firstErr.CompareAndSwap(nil, fmt.Errorf("%s: %w", sp.name, err))
-					continue
-				}
-				for _, st := range tr.Stages() {
-					localStages[st.Name] = append(localStages[st.Name], st.Dur)
-				}
-				local = append(local, d)
-				bytesSent.Add(int64(len(sp.data)))
-				pixels.Add(sp.pixels)
-				if sp.wantLabels != nil {
-					v0 := time.Now()
-					ok := checkResponse(resp, sp)
-					checkNanos.Add(int64(time.Since(v0)))
-					if !ok {
-						mismatches.Add(1)
-					}
-				}
-			}
-			mu.Lock()
-			lats = append(lats, local...)
-			for name, ds := range localStages {
-				stageLats[name] = append(stageLats[name], ds...)
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep.DurationS = elapsed.Seconds()
-	rep.Errors = int(errs.Load())
-	rep.Retried429 = counter.n.Load()
-	rep.BytesSent = bytesSent.Load()
-	rep.FramesPerS = float64(len(lats)) / elapsed.Seconds()
-	rep.MBPerS = float64(bytesSent.Load()) / 1e6 / elapsed.Seconds()
-	rep.PixelMBPerS = float64(pixels.Load()) / 1e6 / elapsed.Seconds()
-	fillLatency(rep, lats)
-	fillServerStages(rep, stageLats)
+	rep.DurationS = st.Elapsed.Seconds()
+	rep.Errors = st.Outcomes.Failed()
+	rep.Retried429 = st.Seen429
+	rep.BytesSent = st.BytesSent
+	rep.FramesPerS, rep.MBPerS, rep.PixelMBPerS = st.Rates()
+	rep.LatencyMS = st.LatencyMS()
+	rep.ServerStages = st.ServerStages()
 	if *verify {
-		rep.Verify.Frames = len(lats)
-		rep.Verify.Mismatches = int(mismatches.Load())
-		rep.Verify.CheckS = time.Duration(checkNanos.Load()).Seconds()
+		rep.Verify.Frames = st.Verified
+		rep.Verify.Mismatches = st.Mismatches
+		rep.Verify.CheckS = st.CheckTime.Seconds()
 	}
 
 	// Phase 3: batches, verified in order. A slapfront target has no
@@ -362,19 +257,28 @@ func run(args []string, out io.Writer) error {
 
 	// Phase 4: aggregate spot-checks against in-process AggregateLarge.
 	if *aggVer && *verify {
-		if err := runAggChecks(ctx, c, sizeList, *density, *array, *cost, refEngine, checkTime, rep); err != nil {
+		if err := runAggChecks(ctx, c, sizeList, *density, *array, *cost, refEngine, rep); err != nil {
 			return err
 		}
 	}
 
 	// Phase 5: the over-capacity burst, no retries.
+	var burst loadgen.Tally
 	if *overload > 0 {
-		runOverload(ctx, *url, specs, *overload, *timeout, rep)
+		bc := client.New(*url, client.WithMaxRetries(0), client.WithHTTPClient(&http.Client{Timeout: *timeout}))
+		burst = loadgen.Burst(ctx, bc, specs, *overload)
+		rep.Overload.Requests = burst.Total()
+		rep.Overload.OK = burst.OK
+		rep.Overload.Rejected429 = burst.Shed429
+		rep.Overload.Errors = burst.Failed() - burst.Shed429
 	}
 
 	summarize(out, rep)
-	if e, ok := firstErr.Load().(error); ok && e != nil {
-		fmt.Fprintf(out, "first error: %v\n", e)
+	if st.FirstError != nil {
+		fmt.Fprintf(out, "first error: %v\n", st.FirstError)
+	}
+	if st.FirstMismatch != nil {
+		fmt.Fprintf(out, "first mismatch: %v\n", st.FirstMismatch)
 	}
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -387,7 +291,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "report written to %s\n", *outPath)
 	}
 	if *benchOut != "" {
-		if err := benchFile(rep, *benchPre).Write(*benchOut); err != nil {
+		if err := benchFile(rep, st, burst, *benchPre).Write(*benchOut); err != nil {
 			return fmt.Errorf("writing -benchout: %w", err)
 		}
 		fmt.Fprintf(out, "BENCH file written to %s\n", *benchOut)
@@ -402,50 +306,35 @@ func run(args []string, out io.Writer) error {
 }
 
 // runAggChecks drives /v1/aggregate — one whole-image and, when the
-// image is wider than -array, one strip-mined request per size — and
-// verifies the per-pixel folds, labels, and composed simulated time
-// value-for-value against the in-process Aggregate/AggregateLarge. The
-// strip-mined rows also exercise the pipelined schedule model, whose
+// image is wider than -array, two strip-mined requests per size (the
+// sequential and the pipelined schedule) — and verifies labels,
+// per-pixel folds and composed simulated time against the in-process
+// AggregateLarge. The pipelined rows pin the schedule model whose
 // composed time the service must reproduce exactly.
-func runAggChecks(ctx context.Context, c *client.Client, sizes []int, density float64, array int, cost string, refEngine slapcc.Engine, checkTime bool, rep *report) error {
+func runAggChecks(ctx context.Context, c *client.Client, sizes []int, density float64, array int, cost string, refEngine slapcc.Engine, rep *report) error {
 	for _, n := range sizes {
 		img := slapcc.RandomImage(n, density, uint64(n)*0xA99)
-		type check struct {
-			name string
-			opt  slapcc.Options
-			p    api.Params
-		}
-		checks := []check{{name: fmt.Sprintf("agg-%d", n), p: api.Params{Op: "sum", WantLabels: true}}}
+		checks := []api.Params{{Op: "sum", WantLabels: true, Cost: cost}}
 		if array > 0 && array < n {
 			checks = append(checks,
-				check{
-					name: fmt.Sprintf("agg-%d-aw%d", n, array),
-					opt:  slapcc.Options{ArrayWidth: array},
-					p:    api.Params{Op: "sum", ArrayWidth: array, WantLabels: true},
-				},
-				check{
-					name: fmt.Sprintf("agg-%d-aw%d-pipelined", n, array),
-					opt:  slapcc.Options{ArrayWidth: array, Schedule: slapcc.SchedulePipelined},
-					p:    api.Params{Op: "sum", ArrayWidth: array, Schedule: "pipelined", WantLabels: true},
-				})
+				api.Params{Op: "sum", ArrayWidth: array, WantLabels: true, Cost: cost},
+				api.Params{Op: "sum", ArrayWidth: array, Schedule: "pipelined", WantLabels: true, Cost: cost})
 		}
-		for _, ck := range checks {
-			ck.opt.Engine = refEngine
-			ck.p.Cost = cost
-			want, err := slapcc.AggregateLarge(img, slapcc.OnesOf(img), slapcc.SumOf(), ck.opt)
+		for _, p := range checks {
+			want, err := loadgen.Expect(img, p, refEngine)
 			if err != nil {
-				return fmt.Errorf("%s: in-process reference: %w", ck.name, err)
+				return fmt.Errorf("agg-%d: in-process reference: %w", n, err)
 			}
 			rep.Aggregate.Checks++
-			if ck.p.ArrayWidth > 0 {
+			if p.ArrayWidth > 0 {
 				rep.Aggregate.Strip++
 			}
-			resp, err := c.Aggregate(ctx, img, ck.p)
+			resp, err := c.Aggregate(ctx, img, p)
 			if err != nil {
 				rep.Aggregate.Errors++
 				continue
 			}
-			if !aggMatches(resp, want, checkTime) {
+			if want.Check(&resp.LabelResponse, resp.PerPixel) != nil {
 				rep.Aggregate.Mismatches++
 			}
 		}
@@ -453,146 +342,23 @@ func runAggChecks(ctx context.Context, c *client.Client, sizes []int, density fl
 	return nil
 }
 
-// aggMatches compares an aggregate response against the in-process
-// reference; checkTime is off when the reference engine differs from
-// the one that served the request (only the simulator has TimeSteps).
-func aggMatches(resp *api.AggregateResponse, want *slapcc.AggregateResult, checkTime bool) bool {
-	if checkTime && resp.Metrics.TimeSteps != want.Metrics.Time {
-		return false
-	}
-	if len(resp.PerPixel) != len(want.PerPixel) {
-		return false
-	}
-	for i, v := range want.PerPixel {
-		if resp.PerPixel[i] != v {
-			return false
-		}
-	}
-	lm := want.Labels
-	if len(resp.Labels) != lm.W()*lm.H() {
-		return false
-	}
-	for x := 0; x < lm.W(); x++ {
-		for y := 0; y < lm.H(); y++ {
-			if resp.Labels[x*lm.H()+y] != lm.Get(x, y) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// buildCorpus generates the frame corpus and pre-computes the expected
-// results the verification phases compare against; refEngine selects
-// which engine builds the references, and refDur reports the time that
-// took. wantTime is −1 (skip the TimeSteps comparison) when the
-// reference engine differs from the one serving the requests.
-func buildCorpus(sizes []int, formats []string, density float64, perSize int, verify bool, array int, cost string, refEngine slapcc.Engine, checkTime bool) ([]spec, time.Duration, error) {
-	var specs []spec
-	var refDur time.Duration
-	seed := uint64(1)
-	for _, n := range sizes {
-		for k := 0; k < perSize; k++ {
-			img := slapcc.RandomImage(n, density, seed)
-			seed++
-			var wantWhole, wantStrip []int32
-			timeWhole, timeStrip := int64(-1), int64(-1)
-			if verify {
-				r0 := time.Now()
-				res, err := slapcc.LabelWithOptions(img, slapcc.Options{Engine: refEngine})
-				if err != nil {
-					return nil, 0, err
-				}
-				wantWhole = flatten(res.Labels)
-				if checkTime {
-					timeWhole = res.Metrics.Time
-				}
-				if array > 0 && array < n {
-					sres, err := slapcc.LabelLarge(img, slapcc.Options{ArrayWidth: array, Engine: refEngine})
-					if err != nil {
-						return nil, 0, err
-					}
-					wantStrip = flatten(sres.Labels)
-					if checkTime {
-						timeStrip = sres.Metrics.Time
-					}
-				}
-				refDur += time.Since(r0)
-			}
-			for _, format := range formats {
-				data, ctype, err := client.EncodeImage(img, strings.TrimSpace(format))
-				if err != nil {
-					return nil, 0, err
-				}
-				sp := spec{
-					name:   fmt.Sprintf("%s-%d-%d", strings.TrimSpace(format), n, k),
-					data:   data,
-					ctype:  ctype,
-					pixels: int64(n) * int64(n),
-					w:      img.W(), h: img.H(),
-					wantLabels: wantWhole,
-					wantTime:   timeWhole,
-				}
-				sp.params.Cost = cost
-				if verify {
-					sp.params.WantLabels = true
-				}
-				// Every 4th spec strip-mines, pinning the service against
-				// in-process LabelLarge.
-				if array > 0 && array < n && len(specs)%4 == 3 {
-					sp.params.ArrayWidth = array
-					sp.name += fmt.Sprintf("-aw%d", array)
-					sp.wantLabels = wantStrip
-					sp.wantTime = timeStrip
-				}
-				specs = append(specs, sp)
-			}
-		}
-	}
-	if len(specs) == 0 {
-		return nil, 0, fmt.Errorf("empty corpus (sizes %v, formats %v)", sizes, formats)
-	}
-	return specs, refDur, nil
-}
-
-// checkResponse compares a response against the precomputed truth. A
-// wantTime of −1 skips the simulated-time comparison (the reference was
-// built by a different engine than served the request).
-func checkResponse(resp *api.LabelResponse, sp *spec) bool {
-	if resp.Width != sp.w || resp.Height != sp.h {
-		return false
-	}
-	if sp.wantTime >= 0 && resp.Metrics.TimeSteps != sp.wantTime {
-		return false
-	}
-	if len(resp.Labels) != len(sp.wantLabels) {
-		return false
-	}
-	for i := range sp.wantLabels {
-		if resp.Labels[i] != sp.wantLabels[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func runBatches(ctx context.Context, c *client.Client, specs []spec, batches, batchSz int, cost string, rep *report) error {
+func runBatches(ctx context.Context, c *client.Client, specs []loadgen.Frame, batches, batchSz int, cost string, rep *report) error {
 	idx := 0
 	for b := 0; b < batches; b++ {
 		var frames []client.Frame
-		var members []*spec
+		var members []*loadgen.Frame
 		for k := 0; k < batchSz; k++ {
 			sp := &specs[idx%len(specs)]
 			idx++
 			// Batch params are request-wide; skip strip-mined specs whose
 			// per-frame params would not apply.
-			if sp.params.ArrayWidth != 0 {
+			if sp.Params.ArrayWidth != 0 {
 				sp = &specs[0]
 			}
-			frames = append(frames, client.Frame{Data: sp.data, ContentType: sp.ctype})
+			frames = append(frames, client.Frame{Data: sp.Data, ContentType: sp.CType})
 			members = append(members, sp)
 		}
-		resp, err := c.LabelBatch(ctx, frames, api.Params{WantLabels: members[0].wantLabels != nil, Cost: cost})
+		resp, err := c.LabelBatch(ctx, frames, api.Params{WantLabels: members[0].Want != nil, Cost: cost})
 		if err != nil {
 			return fmt.Errorf("batch %d: %w", b, err)
 		}
@@ -607,83 +373,12 @@ func runBatches(ctx context.Context, c *client.Client, specs []spec, batches, ba
 			if item.Result == nil {
 				continue // already counted in Errors
 			}
-			if members[i].wantLabels != nil && !checkResponse(item.Result, members[i]) {
+			if w := members[i].Want; w != nil && w.Check(item.Result, nil) != nil {
 				rep.Batch.Mismatches++
 			}
 		}
 	}
 	return nil
-}
-
-// runOverload fires burst concurrent requests with no retrying and
-// tallies how the admission queue answered.
-func runOverload(ctx context.Context, url string, specs []spec, burst int, timeout time.Duration, rep *report) {
-	c := client.New(url, client.WithMaxRetries(0), client.WithHTTPClient(&http.Client{Timeout: timeout}))
-	var ok, rejected, errs atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sp := &specs[i%len(specs)]
-			_, err := c.LabelData(ctx, sp.data, sp.ctype, api.Params{})
-			switch e := err.(type) {
-			case nil:
-				ok.Add(1)
-			case *client.StatusError:
-				if e.IsRetryable() {
-					rejected.Add(1)
-				} else {
-					errs.Add(1)
-				}
-			default:
-				errs.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	rep.Overload.Requests = burst
-	rep.Overload.OK = int(ok.Load())
-	rep.Overload.Rejected429 = int(rejected.Load())
-	rep.Overload.Errors = int(errs.Load())
-}
-
-func fillLatency(rep *report, lats []time.Duration) {
-	if len(lats) == 0 {
-		return
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	pct := func(p float64) time.Duration {
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
-	}
-	var sum time.Duration
-	for _, d := range lats {
-		sum += d
-	}
-	rep.LatencyMS.P50 = ms(pct(0.50))
-	rep.LatencyMS.P95 = ms(pct(0.95))
-	rep.LatencyMS.P99 = ms(pct(0.99))
-	rep.LatencyMS.Mean = ms(sum / time.Duration(len(lats)))
-	rep.LatencyMS.Max = ms(lats[len(lats)-1])
-}
-
-// fillServerStages computes per-stage percentiles from the grafted
-// Server-Timing breakdowns.
-func fillServerStages(rep *report, stageLats map[string][]time.Duration) {
-	if len(stageLats) == 0 {
-		return
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	rep.ServerStages = make(map[string]stagePct, len(stageLats))
-	for name, ds := range stageLats {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		pct := func(p float64) time.Duration { return ds[int(p*float64(len(ds)-1))] }
-		rep.ServerStages[name] = stagePct{
-			P50: ms(pct(0.50)), P95: ms(pct(0.95)), P99: ms(pct(0.99)), N: len(ds),
-		}
-	}
 }
 
 func summarize(out io.Writer, rep *report) {
@@ -722,38 +417,11 @@ func summarize(out io.Writer, rep *report) {
 	}
 }
 
-func flatten(lm *slapcc.LabelMap) []int32 {
-	out := make([]int32, 0, lm.W()*lm.H())
-	for x := 0; x < lm.W(); x++ {
-		out = append(out, lm.ColumnSlice(x)...)
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad size %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// benchFile converts the report into the typed slap-bench/v1 artifact,
-// using the same canonical metric names slapsweet's service scenarios
+// benchFile converts the run into the typed slap-bench/v1 artifact,
+// with the same canonical metric names slapsweet's service scenarios
 // emit — so a slapload run against a remote daemon diffs cleanly
 // against the committed trajectory.
-func benchFile(rep *report, prefix string) *benchfmt.File {
+func benchFile(rep *report, st *loadgen.Stats, burst loadgen.Tally, prefix string) *benchfmt.File {
 	rt := obs.Runtime()
 	f := &benchfmt.File{
 		Schema: benchfmt.SchemaV1,
@@ -762,31 +430,10 @@ func benchFile(rep *report, prefix string) *benchfmt.File {
 		Runner: benchfmt.Runner{CPU: rt.CPU, Cores: rt.Cores, GOMAXPROCS: rt.GOMAXPROCS, GoVersion: rt.GoVersion},
 		Protocol: fmt.Sprintf("cmd/slapload: %d frames, %d clients, sizes %v, formats %v, cost=%q",
 			rep.Frames, rep.Concurrency, rep.Sizes, rep.Formats, rep.Cost),
-		Results: []benchfmt.Result{
-			{Name: prefix + "/frames_per_s", Unit: "frames/s", Better: benchfmt.HigherIsBetter, Value: rep.FramesPerS},
-			{Name: prefix + "/wire_mb_per_s", Unit: "MB/s", Better: benchfmt.HigherIsBetter, Value: rep.MBPerS},
-			{Name: prefix + "/pixel_mb_per_s", Unit: "MB/s", Better: benchfmt.HigherIsBetter, Value: rep.PixelMBPerS},
-			{Name: prefix + "/latency_p50_ms", Unit: "ms", Value: rep.LatencyMS.P50},
-			{Name: prefix + "/latency_p95_ms", Unit: "ms", Value: rep.LatencyMS.P95},
-			{Name: prefix + "/latency_p99_ms", Unit: "ms", Value: rep.LatencyMS.P99},
-		},
+		Results: st.Results(prefix),
 	}
-	names := make([]string, 0, len(rep.ServerStages))
-	for name := range rep.ServerStages {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f.Results = append(f.Results, benchfmt.Result{
-			Name: prefix + "/stage/" + name + "_p95_ms", Unit: "ms", Value: rep.ServerStages[name].P95,
-		})
-	}
-	if rep.Overload.Requests > 0 {
-		f.Results = append(f.Results,
-			benchfmt.Result{Name: "overload/requests", Unit: "count", Value: float64(rep.Overload.Requests)},
-			benchfmt.Result{Name: "overload/ok", Unit: "count", Value: float64(rep.Overload.OK)},
-			benchfmt.Result{Name: "overload/rejected_429", Unit: "count", Value: float64(rep.Overload.Rejected429)},
-		)
+	if burst.Total() > 0 {
+		f.Results = append(f.Results, burst.Results()...)
 	}
 	return f
 }

@@ -6,12 +6,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"slapcc/internal/benchfmt"
 	"slapcc/internal/cluster"
 	"slapcc/internal/server"
+	"slapcc/internal/sweet"
 )
 
 // TestLoadAgainstRealServer is the acceptance loop in miniature: a
@@ -85,13 +89,100 @@ func TestLoadAgainstRealServer(t *testing.T) {
 	}
 }
 
-// TestRunFlagErrors: a missing -url and malformed lists fail fast.
+// TestRunFlagErrors: a missing -url, malformed lists, and a loop that
+// would verify nothing fail fast, before any request is sent.
 func TestRunFlagErrors(t *testing.T) {
 	if err := run(nil, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-url") {
 		t.Fatalf("missing url: %v", err)
 	}
 	if err := run([]string{"-url", "http://x", "-sizes", "nope"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("bad sizes accepted")
+	}
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-concurrency", "0", "concurrency"},
+		{"-frames", "0", "frames"},
+		{"-frames", "-5", "frames"},
+	} {
+		err := run([]string{"-url", "http://x", tc.flag, tc.value}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: want an error naming %s, got %v", tc.flag, tc.value, tc.want, err)
+		}
+	}
+}
+
+// TestReportContracts pins what other tools read from a run. The CI
+// workflow parses the -out report and greps stdout for "server stage";
+// -benchout's steady/* names must be exactly those slapsweet's steady
+// scenario emits, minus the gc_* rows only an in-process daemon can
+// measure — the join docs/BENCHMARKING.md promises for a remote run.
+func TestReportContracts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a daemon for the slapsweet side; skipped in -short")
+	}
+	hs := httptest.NewServer(server.New(server.Config{}))
+	defer hs.Close()
+	dir := t.TempDir()
+	var out bytes.Buffer
+	err := run([]string{
+		"-url", hs.URL, "-frames", "12", "-concurrency", "2", "-sizes", "16,24", "-corpus", "2",
+		"-formats", "raw,png", "-batches", "1", "-batchsize", "2", "-overload", "4",
+		"-out", filepath.Join(dir, "report.json"), "-benchout", filepath.Join(dir, "BENCH_remote.json"),
+	}, &out)
+	if err != nil || !strings.Contains(out.String(), "server stage") {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, "report.json"))
+	var doc map[string]any
+	if err != nil || json.Unmarshal(blob, &doc) != nil {
+		t.Fatalf("report unreadable: %v\n%s", err, blob)
+	}
+	get := func(path string) any {
+		var v any = doc
+		for _, k := range strings.Split(path, ".") {
+			m, _ := v.(map[string]any)
+			v = m[k]
+		}
+		return v
+	}
+	for path, want := range map[string]any{
+		"frames": 12.0, "verify.frames": 12.0, "errors": 0.0, "verify.mismatches": 0.0, "aggregate.mismatches": 0.0,
+	} {
+		if got := get(path); got != want {
+			t.Errorf("report %s = %v, want %v", path, got, want)
+		}
+	}
+	for _, path := range []string{"frames_per_s", "pixel_mb_per_s", "latency_ms.p50", "latency_ms.p99", "overload.rejected_429"} {
+		if _, ok := get(path).(float64); !ok {
+			t.Errorf("report lacks %s:\n%s", path, blob)
+		}
+	}
+	for _, literal := range []string{`"errors": 0`, `"mismatches": 0`} {
+		if !bytes.Contains(blob, []byte(literal)) {
+			t.Errorf("report lacks the literal %s the CI greps for", literal)
+		}
+	}
+
+	bench, err := benchfmt.Load(filepath.Join(dir, "BENCH_remote.json"))
+	if err != nil {
+		t.Fatalf("-benchout unreadable: %v", err)
+	}
+	sw, err := sweet.Run("steady", sweet.Config{Short: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steady := func(f *benchfmt.File) (names []string) {
+		for _, r := range f.Results {
+			if strings.HasPrefix(r.Name, "steady/") && !strings.Contains(r.Name, "/gc_") {
+				names = append(names, r.Name)
+			}
+		}
+		sort.Strings(names)
+		return names
+	}
+	if a, b := steady(bench), steady(sw); !reflect.DeepEqual(a, b) {
+		t.Fatalf("-benchout steady names differ from slapsweet's:\n slapload  %v\n slapsweet %v", a, b)
 	}
 }
 

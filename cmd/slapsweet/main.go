@@ -12,14 +12,15 @@
 //
 //	slapsweet -o BENCH_pr10.json                 # full run, all scenarios
 //	slapsweet -short -run 'steady|engine'        # seconds-long smoke
-//	slapsweet -o new.json -diff BENCH_pr8.json   # exit 1 on regression
+//	slapsweet -o new.json -diff BENCH_pr10.json  # exit 2 on regression
 //	slapsweet -list                              # scenario inventory
 //
 // -diff compares the fresh run against a committed trajectory point
 // with the benchstat-style significance test: sampled metrics gate on
-// Mann-Whitney + a practical threshold, legacy point metrics on a loose
-// collapse threshold, and informational metrics (latencies, GC) never
-// gate. A significant regression exits non-zero — the CI gate.
+// Mann-Whitney + a practical threshold, point metrics (the pre-schema
+// trajectory carries no samples) on a loose collapse threshold, and
+// informational metrics (latencies, GC) never gate. A significant
+// regression exits 2 — the CI gate.
 package main
 
 import (
@@ -58,7 +59,7 @@ func run(args []string, out, errw io.Writer) (int, error) {
 		pr       = fs.Int("pr", 0, "PR number stamped into the artifact")
 		title    = fs.String("title", "", "title stamped into the artifact")
 		profDir  = fs.String("profiledir", "", "capture CPU+heap pprof profiles per service scenario into this directory")
-		diffPath = fs.String("diff", "", "compare against this BENCH file (legacy shapes accepted); exit 2 on significant regression")
+		diffPath = fs.String("diff", "", "compare against this BENCH file; exit 2 on significant regression")
 		seed     = fs.Uint64("seed", 1, "corpus seed")
 	)
 	if err := fs.Parse(args); err != nil {

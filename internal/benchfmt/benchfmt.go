@@ -1,7 +1,6 @@
 // Package benchfmt defines the typed schema for the repository's
-// BENCH_*.json trajectory files, parses the committed legacy files
-// (BENCH_pr2/pr4/pr8.json predate the schema and each rolled its own
-// shape), emits results in Go benchmark format so standard tooling
+// BENCH_*.json trajectory files, loads the committed trajectory, emits
+// results in Go benchmark format so standard tooling
 // (benchstat) can consume them, and implements the benchstat-style
 // comparison behind `slapsweet -diff`: per-metric deltas with a
 // noise-aware significance test, so a run can fail on regression
@@ -11,7 +10,7 @@
 // a list of named Results, each a metric with a unit, an improvement
 // direction, and either raw samples or a single summary value. Scenario
 // structure lives in the slash-separated names ("steady/frames_per_s",
-// "core/engine-par/gmp4/mb_per_s"), which keeps the comparison logic a
+// "core/stream/w2/mb_per_s"), which keeps the comparison logic a
 // name join rather than a schema walk. See docs/BENCHMARKING.md for the
 // scenario inventory and how the trajectory files are produced.
 package benchfmt
@@ -20,13 +19,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 )
 
-// SchemaV1 identifies the first typed BENCH schema. Files without a
-// schema field are legacy and go through the per-PR adapters.
+// SchemaV1 identifies the first typed BENCH schema. Every committed
+// BENCH file carries it; the pre-schema BENCH_pr2/pr4/pr8.json were
+// migrated once, their unmapped numbers kept as informational source/
+// results.
 const SchemaV1 = "slap-bench/v1"
 
 // Direction says which way a metric improves. Informational metrics
@@ -69,7 +71,7 @@ type Runner struct {
 type Result struct {
 	// Name is the canonical slash-separated metric path, e.g.
 	// "steady/frames_per_s". Names are what the diff joins on, so the
-	// scenario runner and the legacy adapters must agree on them.
+	// scenario runner and the committed trajectory must agree on them.
 	Name string `json:"name"`
 	// Unit is the human unit ("frames/s", "ms", "MB/s"). For the Go
 	// benchmark emission it must not contain spaces.
@@ -170,9 +172,7 @@ func (f *File) Write(path string) error {
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
-// Load reads a BENCH file from path: files carrying the schema tag are
-// decoded directly and validated, legacy files are routed through the
-// per-PR adapters (see legacy.go).
+// Load reads and validates a BENCH file from path.
 func Load(path string) (*File, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -190,7 +190,7 @@ func Parse(raw []byte) (*File, error) {
 		return nil, fmt.Errorf("benchfmt: not a JSON object: %w", err)
 	}
 	if probe.Schema == "" {
-		return parseLegacy(raw)
+		return nil, fmt.Errorf("benchfmt: missing \"schema\" field (want %q)", SchemaV1)
 	}
 	f := &File{}
 	if err := json.Unmarshal(raw, f); err != nil {
@@ -200,4 +200,33 @@ func Parse(raw []byte) (*File, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// LoadTrajectory loads every BENCH_pr*.json in dir ordered by PR
+// number — the committed measurement trajectory.
+func LoadTrajectory(dir string) ([]*File, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_pr*.json"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*File
+	for _, p := range paths {
+		// Derived artifacts like BENCH_pr4_service.json ride CI, not the
+		// trajectory; trajectory files are exactly BENCH_pr<digits>.json.
+		base := strings.TrimSuffix(filepath.Base(p), ".json")
+		num := strings.TrimPrefix(base, "BENCH_pr")
+		if num == "" || strings.IndexFunc(num, func(r rune) bool { return r < '0' || r > '9' }) >= 0 {
+			continue
+		}
+		f, err := Load(p)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p, err)
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("benchfmt: no BENCH_pr*.json files in %s", dir)
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].PR < files[j].PR })
+	return files, nil
 }

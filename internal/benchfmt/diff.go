@@ -20,7 +20,7 @@ type DiffOptions struct {
 	// so a real-but-tiny slowdown doesn't fail a build (default 0.10).
 	Threshold float64
 	// PointThreshold is the worsening bound for point-value
-	// comparisons (legacy trajectory files carry no samples, so there
+	// comparisons (pre-schema trajectory points carry no samples, so there
 	// is no distribution to test against). It is deliberately loose
 	// (default 0.40): trajectory points were measured on different
 	// runners with drifting protocols, and the gate exists to catch
@@ -87,8 +87,8 @@ func (d *Diff) Regressions() []Delta {
 
 // Compare joins two BENCH files by metric name and classifies each
 // shared metric. The direction recorded on the *new* file wins when
-// the two disagree (the current run defines the contract; legacy
-// adapters follow it).
+// the two disagree (the current run defines the contract; older
+// trajectory points follow it).
 func Compare(old, new *File, opt DiffOptions) *Diff {
 	opt = opt.withDefaults()
 	d := &Diff{OldPR: old.PR, NewPR: new.PR}

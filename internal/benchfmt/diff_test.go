@@ -2,6 +2,7 @@ package benchfmt
 
 import (
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -72,18 +73,9 @@ func TestCompareSignificance(t *testing.T) {
 // the real committed PR 8 trajectory point, synthesize a run whose host
 // engine lost its win, and the diff must report a regression.
 func TestCompareInjectedSlowdownFails(t *testing.T) {
-	files, err := LoadTrajectory(repoRoot)
+	pr8, err := Load(filepath.Join(repoRoot, "BENCH_pr8.json"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	var pr8 *File
-	for _, f := range files {
-		if f.PR == 8 {
-			pr8 = f
-		}
-	}
-	if pr8 == nil {
-		t.Fatal("no PR 8 trajectory point")
 	}
 	// A "current run" identical to PR 8 except the host engine
 	// collapsed to 2x instead of 16.5x.
@@ -112,8 +104,8 @@ func TestCompareInjectedSlowdownFails(t *testing.T) {
 	}
 }
 
-// TestComparePointThresholdIsLoose: point comparisons (legacy files
-// have no samples) tolerate runner-to-runner drift up to
+// TestComparePointThresholdIsLoose: point comparisons (pre-schema
+// trajectory points have no samples) tolerate runner-to-runner drift up to
 // PointThreshold.
 func TestComparePointThresholdIsLoose(t *testing.T) {
 	old := fileWith(8, Result{Name: "m/x", Unit: "MB/s", Better: HigherIsBetter, Value: 100})

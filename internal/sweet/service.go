@@ -2,25 +2,20 @@ package sweet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	slapcc "slapcc"
 	"slapcc/api"
 	"slapcc/client"
 	"slapcc/internal/benchfmt"
+	"slapcc/internal/loadgen"
 	"slapcc/internal/obs"
 	"slapcc/internal/server"
-	"slapcc/internal/stats"
 )
 
 // daemon is an in-process slapd: the real server.Server behind a real
@@ -83,34 +78,14 @@ func (d *daemon) Close() error {
 	return err
 }
 
-// frameSpec is one encoded request in a scenario corpus.
-type frameSpec struct {
-	data   []byte
-	ctype  string
-	params api.Params
-	pixels int64
-}
-
-// corpus encodes perSize frames for every size x format combination.
-func corpus(cfg Config, sizes []int, formats []string, perSize int, params api.Params) ([]frameSpec, error) {
-	var specs []frameSpec
-	seed := cfg.Seed
-	for _, n := range sizes {
-		for _, format := range formats {
-			for k := 0; k < perSize; k++ {
-				seed++
-				img := slapcc.RandomImage(n, 0.5, seed)
-				data, ctype, err := client.EncodeImage(img, format)
-				if err != nil {
-					return nil, fmt.Errorf("encode %dpx %s: %w", n, format, err)
-				}
-				p := params
-				p.Format = format
-				specs = append(specs, frameSpec{data: data, ctype: ctype, params: p, pixels: int64(n) * int64(n)})
-			}
-		}
-	}
-	return specs, nil
+// frames builds a scenario corpus: two images per size and format,
+// seeded from the run's seed onward.
+func frames(cfg Config, sizes []int, formats []string, params api.Params) ([]loadgen.Frame, error) {
+	fs, _, err := loadgen.Corpus{
+		Sizes: sizes, Formats: formats, PerSize: 2, Density: 0.5,
+		Seed: cfg.Seed + 1, PerFormat: true, Params: params,
+	}.Build()
+	return fs, err
 }
 
 // loopCfg shapes one closed-loop drive of a daemon.
@@ -121,173 +96,38 @@ type loopCfg struct {
 	retries int // client retry budget for 429s
 }
 
-// loopOut is what the closed loop hands back for metric assembly.
-type loopOut struct {
-	frames     int
-	elapsed    time.Duration
-	bytesSent  int64
-	pixels     int64
-	retried429 int64
-	lats       []time.Duration
-	stageLats  map[string][]time.Duration
-	gc         obs.GCSnapshot
-}
-
-// counting429 counts 429 responses at the transport so retried shed
-// requests are visible even when the client absorbs them.
-type counting429 struct {
-	rt http.RoundTripper
-	n  atomic.Int64
-}
-
-func (c *counting429) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := c.rt.RoundTrip(req)
-	if err == nil && resp.StatusCode == http.StatusTooManyRequests {
-		c.n.Add(1)
-	}
-	return resp, err
-}
-
-// drive runs the slapload-style closed loop: conc workers pulling
-// frames off a shared counter, each request traced so the server's
-// Server-Timing stage breakdown lands in stageLats. Any request error
-// (after retries) fails the scenario — a benchmark that errors is not a
+// measure runs the closed loop against d. Any request that still fails
+// after retries fails the scenario — a benchmark that errors is not a
 // measurement.
-func drive(d *daemon, specs []frameSpec, lc loopCfg) (*loopOut, error) {
-	counter := &counting429{rt: http.DefaultTransport.(*http.Transport).Clone()}
-	hc := &http.Client{Transport: counter, Timeout: 60 * time.Second}
-	opts := []client.Option{client.WithHTTPClient(hc), client.WithMaxRetryWait(time.Second)}
-	opts = append(opts, client.WithMaxRetries(lc.retries))
-	c := client.New(d.URL, opts...)
-	ctx := context.Background()
-
-	// Warmup, uncounted: connection pool and server arenas.
-	for i := 0; i < min(lc.conc, len(specs)); i++ {
-		if _, err := c.LabelData(ctx, specs[i].data, specs[i].ctype, specs[i].params); err != nil {
-			return nil, fmt.Errorf("warmup: %w", err)
-		}
+func measure(d *daemon, fs []loadgen.Frame, lc loopCfg) (*loadgen.Stats, error) {
+	loop := loadgen.Loop{
+		Client: loadgen.NewClient(d.URL, lc.retries, time.Second, 60*time.Second),
+		Frames: fs, Concurrency: lc.conc, Count: lc.frames,
 	}
+	st, err := loop.Run(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	if st.FirstError != nil {
+		return nil, fmt.Errorf("request failed mid-loop: %w", st.FirstError)
+	}
+	return st, nil
+}
 
-	var (
-		next      atomic.Int64
-		bytesSent atomic.Int64
-		pixels    atomic.Int64
-		firstErr  atomic.Value
-		mu        sync.Mutex
-		lats      []time.Duration
-		stageLats = map[string][]time.Duration{}
-		wg        sync.WaitGroup
+// results is the canonical loop metric set plus the GC the loop
+// induced, which is meaningful here because the daemon shares the
+// harness's process.
+func results(st *loadgen.Stats, prefix string) []benchfmt.Result {
+	return append(st.Results(prefix),
+		benchfmt.Result{Name: prefix + "/gc_collections", Unit: "count", Value: float64(st.GC.NumGC)},
+		benchfmt.Result{Name: prefix + "/gc_pause_ms", Unit: "ms", Value: float64(st.GC.PauseTotal) / 1e6},
 	)
-	gc0 := obs.ReadGC()
-	start := time.Now()
-	for g := 0; g < lc.conc; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]time.Duration, 0, lc.frames/lc.conc+1)
-			localStages := map[string][]time.Duration{}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= lc.frames {
-					break
-				}
-				sp := &specs[i%len(specs)]
-				tr := obs.New("", lc.prefix, nil)
-				t0 := time.Now()
-				_, err := c.LabelData(obs.ContextWith(ctx, tr.Root()), sp.data, sp.ctype, sp.params)
-				dur := time.Since(t0)
-				tr.Finish()
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				for _, st := range tr.Stages() {
-					localStages[st.Name] = append(localStages[st.Name], st.Dur)
-				}
-				local = append(local, dur)
-				bytesSent.Add(int64(len(sp.data)))
-				pixels.Add(sp.pixels)
-			}
-			mu.Lock()
-			lats = append(lats, local...)
-			for name, ds := range localStages {
-				stageLats[name] = append(stageLats[name], ds...)
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return nil, fmt.Errorf("request failed mid-loop: %w", err)
-	}
-	return &loopOut{
-		frames:     len(lats),
-		elapsed:    elapsed,
-		bytesSent:  bytesSent.Load(),
-		pixels:     pixels.Load(),
-		retried429: counter.n.Load(),
-		lats:       lats,
-		stageLats:  stageLats,
-		gc:         obs.ReadGC().Delta(gc0),
-	}, nil
-}
-
-// latMs converts durations to sorted milliseconds for percentiles.
-func latMs(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = float64(d) / 1e6
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// results turns a loop run into the canonical metric set for prefix:
-// gated throughputs, informational latency/stage percentiles, and the
-// GC the loop induced. The names match the legacy adapters in
-// internal/benchfmt so diffs join across the whole trajectory.
-func (o *loopOut) results(prefix string) []benchfmt.Result {
-	secs := o.elapsed.Seconds()
-	ms := latMs(o.lats)
-	res := []benchfmt.Result{
-		{Name: prefix + "/frames_per_s", Unit: "frames/s", Better: benchfmt.HigherIsBetter,
-			Value: float64(o.frames) / secs},
-		{Name: prefix + "/wire_mb_per_s", Unit: "MB/s", Better: benchfmt.HigherIsBetter,
-			Value: float64(o.bytesSent) / 1e6 / secs},
-		{Name: prefix + "/pixel_mb_per_s", Unit: "MB/s", Better: benchfmt.HigherIsBetter,
-			Value: float64(o.pixels) / 1e6 / secs},
-		{Name: prefix + "/latency_p50_ms", Unit: "ms", Value: stats.Percentile(ms, 0.50)},
-		{Name: prefix + "/latency_p95_ms", Unit: "ms", Value: stats.Percentile(ms, 0.95)},
-		{Name: prefix + "/latency_p99_ms", Unit: "ms", Value: stats.Percentile(ms, 0.99)},
-		{Name: prefix + "/gc_collections", Unit: "count", Value: float64(o.gc.NumGC)},
-		{Name: prefix + "/gc_pause_ms", Unit: "ms", Value: float64(o.gc.PauseTotal) / 1e6},
-	}
-	if o.retried429 > 0 {
-		res = append(res, benchfmt.Result{
-			Name: prefix + "/retried_429", Unit: "count", Value: float64(o.retried429)})
-	}
-	// Per-stage server-side percentiles from the grafted Server-Timing
-	// breakdowns (PR 9's tracing): where the p95 actually goes.
-	stages := make([]string, 0, len(o.stageLats))
-	for name := range o.stageLats {
-		stages = append(stages, name)
-	}
-	sort.Strings(stages)
-	for _, name := range stages {
-		sms := latMs(o.stageLats[name])
-		res = append(res, benchfmt.Result{
-			Name: prefix + "/stage/" + name + "_p95_ms", Unit: "ms",
-			Value: stats.Percentile(sms, 0.95),
-		})
-	}
-	return res
 }
 
 // profiled wraps a loop with CPU + heap profile capture from the debug
 // listener when cfg.ProfileDir is set — the pprof fetch runs while the
 // loop does, like `go tool pprof http://...` against a live daemon.
-func profiled(cfg Config, d *daemon, name string, run func() (*loopOut, error)) (*loopOut, error) {
+func profiled(cfg Config, d *daemon, name string, run func() (*loadgen.Stats, error)) (*loadgen.Stats, error) {
 	if cfg.ProfileDir == "" {
 		return run()
 	}
@@ -302,7 +142,7 @@ func profiled(cfg Config, d *daemon, name string, run func() (*loopOut, error)) 
 		profBody <- body
 		profErr <- err
 	}()
-	out, err := run()
+	st, err := run()
 	if err != nil {
 		<-profErr // don't leak the fetch
 		return nil, err
@@ -321,7 +161,7 @@ func profiled(cfg Config, d *daemon, name string, run func() (*loopOut, error)) 
 	if werr := os.WriteFile(filepath.Join(cfg.ProfileDir, name+".heap.pb.gz"), heap, 0o644); werr != nil {
 		return nil, werr
 	}
-	return out, nil
+	return st, nil
 }
 
 func fetchBytes(url string) ([]byte, error) {
@@ -344,15 +184,15 @@ func serviceLoop(cfg Config, scfg server.Config, sizes []int, formats []string, 
 		return nil, err
 	}
 	defer d.Close()
-	specs, err := corpus(cfg, sizes, formats, 2, params)
+	fs, err := frames(cfg, sizes, formats, params)
 	if err != nil {
 		return nil, err
 	}
-	out, err := profiled(cfg, d, lc.prefix, func() (*loopOut, error) { return drive(d, specs, lc) })
+	st, err := profiled(cfg, d, lc.prefix, func() (*loadgen.Stats, error) { return measure(d, fs, lc) })
 	if err != nil {
 		return nil, err
 	}
-	return out.results(lc.prefix), nil
+	return results(st, lc.prefix), nil
 }
 
 // runSteady: the PR 4 steady-state shape — mixed frame sizes, raw+png,
@@ -402,50 +242,23 @@ func runOverload(cfg Config) ([]benchfmt.Result, error) {
 	// preemption slice: on a 1-core host that is what lets the rest of
 	// the in-process burst arrive while a label is mid-flight, so the
 	// admission bound is actually exercised.
-	specs, err := corpus(cfg, []int{cfg.scale(512, 256)}, []string{"raw"}, 2, api.Params{})
+	fs, err := frames(cfg, []int{cfg.scale(512, 256)}, []string{"raw"}, api.Params{})
 	if err != nil {
 		return nil, err
 	}
 	c := client.New(d.URL, client.WithMaxRetries(0))
-	total := cfg.scale(64, 16)
-	var ok, rejected, failed atomic.Int64
-	var wg sync.WaitGroup
 	ctx := context.Background()
-	// One uncounted request per distinct spec warms the connection
-	// pool; the barrier then releases the whole burst at once so the
-	// arrivals genuinely exceed the admission capacity of 2.
-	for i := range specs {
-		c.LabelData(ctx, specs[i].data, specs[i].ctype, specs[i].params)
+	// One uncounted request per distinct frame warms the connection
+	// pool, so the released burst's arrivals genuinely exceed the
+	// admission capacity of 2.
+	for i := range fs {
+		c.LabelData(ctx, fs[i].Data, fs[i].CType, fs[i].Params)
 	}
-	start := make(chan struct{})
-	for i := 0; i < total; i++ {
-		sp := &specs[i%len(specs)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			_, err := c.LabelData(ctx, sp.data, sp.ctype, sp.params)
-			var se *client.StatusError
-			switch {
-			case err == nil:
-				ok.Add(1)
-			case errors.As(err, &se) && se.Code == http.StatusTooManyRequests:
-				rejected.Add(1)
-			default:
-				failed.Add(1)
-			}
-		}()
+	t := loadgen.Burst(ctx, c, fs, cfg.scale(64, 16))
+	if bad := t.Failed() - t.Shed429; bad > 0 {
+		return nil, fmt.Errorf("%d non-429 failures under overload", bad)
 	}
-	close(start)
-	wg.Wait()
-	if failed.Load() > 0 {
-		return nil, fmt.Errorf("%d non-429 failures under overload", failed.Load())
-	}
-	return []benchfmt.Result{
-		{Name: "overload/requests", Unit: "count", Value: float64(total)},
-		{Name: "overload/ok", Unit: "count", Value: float64(ok.Load())},
-		{Name: "overload/rejected_429", Unit: "count", Value: float64(rejected.Load())},
-	}, nil
+	return t.Results(), nil
 }
 
 // runBatch: multipart batch endpoint throughput — many frames per
@@ -459,17 +272,15 @@ func runBatch(cfg Config) ([]benchfmt.Result, error) {
 	n := cfg.scale(128, 48)
 	perBatch := cfg.scale(16, 4)
 	batches := cfg.scale(12, 2)
-	frames := make([]client.Frame, perBatch)
-	var pixels int64
-	for i := range frames {
-		img := slapcc.RandomImage(n, 0.5, cfg.Seed+uint64(i))
-		fr, err := client.EncodeFrame(img, "raw")
-		if err != nil {
-			return nil, err
-		}
-		frames[i] = fr
-		pixels += int64(n) * int64(n)
+	fs, _, err := loadgen.Corpus{Sizes: []int{n}, Formats: []string{"raw"}, PerSize: perBatch, Density: 0.5, Seed: cfg.Seed}.Build()
+	if err != nil {
+		return nil, err
 	}
+	frames := make([]client.Frame, len(fs))
+	for i, f := range fs {
+		frames[i] = client.Frame{Data: f.Data, ContentType: f.CType}
+	}
+	pixels := int64(n) * int64(n) * int64(perBatch)
 	c := client.New(d.URL, client.WithMaxRetries(8))
 	ctx := context.Background()
 	if _, err := c.LabelBatch(ctx, frames, api.Params{}); err != nil {
@@ -505,22 +316,22 @@ func runCost(cfg Config) ([]benchfmt.Result, error) {
 	}
 	defer d.Close()
 	n := cfg.scale(1024, 128)
-	frames := cfg.scale(24, 4)
+	count := cfg.scale(24, 4)
 	var all []benchfmt.Result
 	byPrefix := map[string]float64{}
 	for _, cost := range []string{"host", "bitserial"} {
 		prefix := "cost-" + cost
-		specs, err := corpus(cfg, []int{n}, []string{"raw"}, 2, api.Params{Cost: cost})
+		fs, err := frames(cfg, []int{n}, []string{"raw"}, api.Params{Cost: cost})
 		if err != nil {
 			return nil, err
 		}
-		out, err := profiled(cfg, d, prefix, func() (*loopOut, error) {
-			return drive(d, specs, loopCfg{prefix: prefix, frames: frames, conc: 1, retries: 8})
+		st, err := profiled(cfg, d, prefix, func() (*loadgen.Stats, error) {
+			return measure(d, fs, loopCfg{prefix: prefix, frames: count, conc: 1, retries: 8})
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cost=%s: %w", cost, err)
 		}
-		res := out.results(prefix)
+		res := results(st, prefix)
 		all = append(all, res...)
 		for _, r := range res {
 			if r.Name == prefix+"/pixel_mb_per_s" {

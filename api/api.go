@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"sync/atomic"
@@ -105,15 +106,15 @@ func FormatDeadline(remaining time.Duration) string {
 }
 
 // ParseDeadline parses a HeaderDeadlineMS value. ok is false when the
-// header is absent or malformed (a malformed hint is ignored rather
-// than failing the request — the budget is advisory metadata, not part
-// of the request's validity).
+// header is absent, malformed or too large for a time.Duration (such a
+// hint is ignored rather than failing the request — the budget is
+// advisory metadata, not part of the request's validity).
 func ParseDeadline(h string) (remaining time.Duration, ok bool) {
 	if h == "" {
 		return 0, false
 	}
 	ms, err := strconv.ParseInt(h, 10, 64)
-	if err != nil || ms < 0 {
+	if err != nil || ms < 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 		return 0, false
 	}
 	return time.Duration(ms) * time.Millisecond, true

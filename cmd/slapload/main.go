@@ -3,13 +3,13 @@
 // through the service from a fixed set of concurrent clients, verifies
 // responses bit-for-bit against the in-process labeler, and reports
 // service-level numbers — p50/p95/p99 latency, frames/s, MB/s — as both
-// a human summary and a BENCH_*.json-style artifact.
+// a human summary and a JSON report (-out).
 //
 // Usage:
 //
 //	slapd -addr :8117 &
 //	slapload -url http://localhost:8117 -frames 1000 -concurrency 4 \
-//	         -sizes 64,128,256 -formats png,pbm,raw -out BENCH_pr4.json
+//	         -sizes 64,128,256 -formats png,pbm,raw -out report.json
 //
 // With -cluster the target is a slapfront coordinator: the same loop
 // and aggregate spot-checks run (strip-mined frames then fan out
@@ -62,9 +62,7 @@ import (
 	"slapcc"
 	"slapcc/api"
 	"slapcc/client"
-	"slapcc/internal/benchfmt"
 	"slapcc/internal/loadgen"
-	"slapcc/internal/obs"
 )
 
 func main() {
@@ -151,8 +149,6 @@ func run(args []string, out io.Writer) error {
 		clusterT = fs.Bool("cluster", false, "target is a slapfront coordinator: skip the batch phase (no /v1/label/batch there)")
 		overload = fs.Int("overload", 0, "fire this many concurrent no-retry requests to observe 429s (0 = skip)")
 		outPath  = fs.String("out", "", "write the JSON report here as well as stdout")
-		benchOut = fs.String("benchout", "", "also write the run as a typed slap-bench/v1 BENCH file (see internal/benchfmt), keyed under -benchprefix")
-		benchPre = fs.String("benchprefix", "steady", "canonical metric prefix for -benchout (matches slapsweet's scenario names)")
 		timeout  = fs.Duration("timeout", 120*time.Second, "per-request timeout")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -263,10 +259,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Phase 5: the over-capacity burst, no retries.
-	var burst loadgen.Tally
 	if *overload > 0 {
 		bc := client.New(*url, client.WithMaxRetries(0), client.WithHTTPClient(&http.Client{Timeout: *timeout}))
-		burst = loadgen.Burst(ctx, bc, specs, *overload)
+		burst := loadgen.Burst(ctx, bc, specs, *overload)
 		rep.Overload.Requests = burst.Total()
 		rep.Overload.OK = burst.OK
 		rep.Overload.Rejected429 = burst.Shed429
@@ -289,12 +284,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "report written to %s\n", *outPath)
-	}
-	if *benchOut != "" {
-		if err := benchFile(rep, st, burst, *benchPre).Write(*benchOut); err != nil {
-			return fmt.Errorf("writing -benchout: %w", err)
-		}
-		fmt.Fprintf(out, "BENCH file written to %s\n", *benchOut)
 	}
 	if rep.Errors > 0 || rep.Verify.Mismatches > 0 || rep.Batch.Mismatches > 0 || rep.Batch.Errors > 0 ||
 		rep.Aggregate.Errors > 0 || rep.Aggregate.Mismatches > 0 {
@@ -415,25 +404,4 @@ func summarize(out io.Writer, rep *report) {
 		fmt.Fprintf(out, "overload: %d fired -> %d ok, %d shed with 429, %d errors\n",
 			rep.Overload.Requests, rep.Overload.OK, rep.Overload.Rejected429, rep.Overload.Errors)
 	}
-}
-
-// benchFile converts the run into the typed slap-bench/v1 artifact,
-// with the same canonical metric names slapsweet's service scenarios
-// emit — so a slapload run against a remote daemon diffs cleanly
-// against the committed trajectory.
-func benchFile(rep *report, st *loadgen.Stats, burst loadgen.Tally, prefix string) *benchfmt.File {
-	rt := obs.Runtime()
-	f := &benchfmt.File{
-		Schema: benchfmt.SchemaV1,
-		Title:  "slapload " + rep.Target,
-		Date:   time.Now().UTC().Format("2006-01-02"),
-		Runner: benchfmt.Runner{CPU: rt.CPU, Cores: rt.Cores, GOMAXPROCS: rt.GOMAXPROCS, GoVersion: rt.GoVersion},
-		Protocol: fmt.Sprintf("cmd/slapload: %d frames, %d clients, sizes %v, formats %v, cost=%q",
-			rep.Frames, rep.Concurrency, rep.Sizes, rep.Formats, rep.Cost),
-		Results: st.Results(prefix),
-	}
-	if burst.Total() > 0 {
-		f.Results = append(f.Results, burst.Results()...)
-	}
-	return f
 }

@@ -6,16 +6,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
-	"slapcc/internal/benchfmt"
 	"slapcc/internal/cluster"
 	"slapcc/internal/server"
-	"slapcc/internal/sweet"
 )
 
 // TestLoadAgainstRealServer is the acceptance loop in miniature: a
@@ -112,15 +108,9 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// TestReportContracts pins what other tools read from a run. The CI
-// workflow parses the -out report and greps stdout for "server stage";
-// -benchout's steady/* names must be exactly those slapsweet's steady
-// scenario emits, minus the gc_* rows only an in-process daemon can
-// measure — the join docs/BENCHMARKING.md promises for a remote run.
+// TestReportContracts pins what other tools read from a run: the CI
+// workflow parses the -out report and greps stdout for "server stage".
 func TestReportContracts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots a daemon for the slapsweet side; skipped in -short")
-	}
 	hs := httptest.NewServer(server.New(server.Config{}))
 	defer hs.Close()
 	dir := t.TempDir()
@@ -128,7 +118,7 @@ func TestReportContracts(t *testing.T) {
 	err := run([]string{
 		"-url", hs.URL, "-frames", "12", "-concurrency", "2", "-sizes", "16,24", "-corpus", "2",
 		"-formats", "raw,png", "-batches", "1", "-batchsize", "2", "-overload", "4",
-		"-out", filepath.Join(dir, "report.json"), "-benchout", filepath.Join(dir, "BENCH_remote.json"),
+		"-out", filepath.Join(dir, "report.json"),
 	}, &out)
 	if err != nil || !strings.Contains(out.String(), "server stage") {
 		t.Fatalf("%v\n%s", err, out.String())
@@ -148,6 +138,7 @@ func TestReportContracts(t *testing.T) {
 	}
 	for path, want := range map[string]any{
 		"frames": 12.0, "verify.frames": 12.0, "errors": 0.0, "verify.mismatches": 0.0, "aggregate.mismatches": 0.0,
+		"overload.requests": 4.0, "overload.errors": 0.0,
 	} {
 		if got := get(path); got != want {
 			t.Errorf("report %s = %v, want %v", path, got, want)
@@ -162,27 +153,6 @@ func TestReportContracts(t *testing.T) {
 		if !bytes.Contains(blob, []byte(literal)) {
 			t.Errorf("report lacks the literal %s the CI greps for", literal)
 		}
-	}
-
-	bench, err := benchfmt.Load(filepath.Join(dir, "BENCH_remote.json"))
-	if err != nil {
-		t.Fatalf("-benchout unreadable: %v", err)
-	}
-	sw, err := sweet.Run("steady", sweet.Config{Short: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steady := func(f *benchfmt.File) (names []string) {
-		for _, r := range f.Results {
-			if strings.HasPrefix(r.Name, "steady/") && !strings.Contains(r.Name, "/gc_") {
-				names = append(names, r.Name)
-			}
-		}
-		sort.Strings(names)
-		return names
-	}
-	if a, b := steady(bench), steady(sw); !reflect.DeepEqual(a, b) {
-		t.Fatalf("-benchout steady names differ from slapsweet's:\n slapload  %v\n slapsweet %v", a, b)
 	}
 }
 

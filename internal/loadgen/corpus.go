@@ -1,5 +1,5 @@
-// Package loadgen is the one load driver behind cmd/slapload,
-// cmd/slapchaos and slapsweet's service scenarios:
+// Package loadgen is the one load driver behind cmd/slapload and
+// cmd/slapchaos:
 //
 //   - a corpus: sizes × formats × params in, encoded frames out, each
 //     with the reference answer an engine computes in process;
@@ -158,19 +158,13 @@ const (
 type Corpus struct {
 	Sizes   []int // square frame sizes
 	Formats []string
-	// PerSize is the number of distinct images per size (per size and
-	// format with PerFormat).
-	PerSize int
+	PerSize int // distinct images per size
 	Density float64
 	// Seed seeds the first image; each later image takes the next seed.
-	Seed uint64
-	// PerFormat draws separate images for every format, in size →
-	// format → image order, and stamps each frame's format= parameter
-	// (slapsweet); otherwise every image is encoded in every format.
-	PerFormat bool
-	Params    api.Params // stamped on every request
-	Array     int        // strip-mining width (0 = whole-image frames only)
-	Mix       Mix
+	Seed   uint64
+	Params api.Params // stamped on every request
+	Array  int        // strip-mining width (0 = whole-image frames only)
+	Mix    Mix
 	// Ref is the engine that builds the references (slapcc.EngineSim
 	// or slapcc.EngineHost); empty leaves every frame unverified.
 	Ref slapcc.Engine
@@ -179,13 +173,6 @@ type Corpus struct {
 // Build generates the corpus. refTime is what building the references
 // took, reported apart so a loop's frames/s stays a pure service number.
 func (c Corpus) Build() (frames []Frame, refTime time.Duration, err error) {
-	groups := [][]string{c.Formats}
-	if c.PerFormat {
-		groups = nil
-		for _, f := range c.Formats {
-			groups = append(groups, []string{f})
-		}
-	}
 	seed := c.Seed
 	for _, n := range c.Sizes {
 		shapes := []api.Params{c.Params} // whole, then strip and aggregate
@@ -196,49 +183,44 @@ func (c Corpus) Build() (frames []Frame, refTime time.Duration, err error) {
 			agg.Op = "sum"
 			shapes = append(shapes, strip, agg)
 		}
-		for _, formats := range groups {
-			for k := 0; k < c.PerSize; k++ {
-				img := slapcc.RandomImage(n, c.Density, seed)
-				seed++
-				wants := make([]*Want, len(shapes)) // shared across formats
-				for _, format := range formats {
-					format = strings.TrimSpace(format)
-					data, ctype, err := client.EncodeImage(img, format)
-					if err != nil {
-						return nil, 0, fmt.Errorf("loadgen: encode %dpx %s: %w", n, format, err)
+		for k := 0; k < c.PerSize; k++ {
+			img := slapcc.RandomImage(n, c.Density, seed)
+			seed++
+			wants := make([]*Want, len(shapes)) // shared across formats
+			for _, format := range c.Formats {
+				format = strings.TrimSpace(format)
+				data, ctype, err := client.EncodeImage(img, format)
+				if err != nil {
+					return nil, 0, fmt.Errorf("loadgen: encode %dpx %s: %w", n, format, err)
+				}
+				picks := []int{0, 1, 2}[:len(shapes)]
+				if c.Mix == Rotate {
+					picks = []int{0}
+					if len(shapes) > 1 && len(frames)%4 == 3 {
+						picks[0] = 1
 					}
-					picks := []int{0, 1, 2}[:len(shapes)]
-					if c.Mix == Rotate {
-						picks = []int{0}
-						if len(shapes) > 1 && len(frames)%4 == 3 {
-							picks[0] = 1
+				}
+				for _, i := range picks {
+					p := shapes[i]
+					if c.Ref != "" && wants[i] == nil {
+						t0 := time.Now()
+						if wants[i], err = Expect(img, p, c.Ref); err != nil {
+							return nil, 0, err
 						}
+						refTime += time.Since(t0)
 					}
-					for _, i := range picks {
-						p := shapes[i]
-						if c.Ref != "" && wants[i] == nil {
-							t0 := time.Now()
-							if wants[i], err = Expect(img, p, c.Ref); err != nil {
-								return nil, 0, err
-							}
-							refTime += time.Since(t0)
-						}
-						if c.PerFormat {
-							p.Format = format
-						}
-						p.WantLabels = p.WantLabels || wants[i] != nil
-						name := fmt.Sprintf("%s-%d-%d", format, n, k)
-						if p.Op != "" {
-							name = fmt.Sprintf("agg-%d-%d", n, k)
-						}
-						if i > 0 {
-							name += "-aw" + strconv.Itoa(c.Array)
-						}
-						frames = append(frames, Frame{
-							Name: name, Data: data, CType: ctype, Params: p,
-							Pixels: int64(n) * int64(n), Want: wants[i],
-						})
+					p.WantLabels = p.WantLabels || wants[i] != nil
+					name := fmt.Sprintf("%s-%d-%d", format, n, k)
+					if p.Op != "" {
+						name = fmt.Sprintf("agg-%d-%d", n, k)
 					}
+					if i > 0 {
+						name += "-aw" + strconv.Itoa(c.Array)
+					}
+					frames = append(frames, Frame{
+						Name: name, Data: data, CType: ctype, Params: p,
+						Pixels: int64(n) * int64(n), Want: wants[i],
+					})
 				}
 			}
 		}

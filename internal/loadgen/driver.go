@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"slapcc/api"
 	"slapcc/client"
-	"slapcc/internal/benchfmt"
 	"slapcc/internal/obs"
 	"slapcc/internal/stats"
 )
@@ -85,15 +83,6 @@ func (t *Tally) count(err error) (explained bool) {
 		return false
 	}
 	return true
-}
-
-// Results are the canonical overload/* metrics of a burst.
-func (t Tally) Results() []benchfmt.Result {
-	return []benchfmt.Result{
-		{Name: "overload/requests", Unit: "count", Value: float64(t.Total())},
-		{Name: "overload/ok", Unit: "count", Value: float64(t.OK)},
-		{Name: "overload/rejected_429", Unit: "count", Value: float64(t.Shed429)},
-	}
 }
 
 // Burst fires n requests behind one release barrier, so the arrivals
@@ -173,7 +162,6 @@ type Stats struct {
 	// or summed past the request's wall time.
 	TraceBreaches int
 	FirstBreach   string
-	GC            obs.GCSnapshot // collector activity during the timed loop
 }
 
 // Run warms the service with one uncounted request per worker, then
@@ -197,7 +185,6 @@ func (l *Loop) Run(ctx context.Context) (*Stats, error) {
 		wg   sync.WaitGroup
 		st   = &Stats{Stages: map[string][]time.Duration{}}
 	)
-	gc0 := obs.ReadGC()
 	start := time.Now()
 	for g := 0; g < l.Concurrency; g++ {
 		wg.Add(1)
@@ -219,7 +206,6 @@ func (l *Loop) Run(ctx context.Context) (*Stats, error) {
 	}
 	wg.Wait()
 	st.Elapsed = time.Since(start)
-	st.GC = obs.ReadGC().Delta(gc0)
 	st.Seen429 = l.Client.seen429.Load()
 	return st, nil
 }
@@ -354,36 +340,4 @@ func (s *Stats) ServerStages() map[string]Dist {
 func (s *Stats) Rates() (framesPerS, wireMBPerS, pixelMBPerS float64) {
 	secs := s.Elapsed.Seconds()
 	return float64(s.Outcomes.OK) / secs, float64(s.BytesSent) / 1e6 / secs, float64(s.Pixels) / 1e6 / secs
-}
-
-// Results is a loop's canonical metric set under prefix (e.g.
-// "steady"): gated throughputs, informational latency percentiles, the
-// 429s seen when there were any, and each server stage's p95.
-// slapload -benchout and slapsweet's service scenarios both emit it, so
-// their files join by name with each other and the trajectory.
-func (s *Stats) Results(prefix string) []benchfmt.Result {
-	fps, wire, pixel := s.Rates()
-	lat := s.LatencyMS()
-	res := []benchfmt.Result{
-		{Name: prefix + "/frames_per_s", Unit: "frames/s", Better: benchfmt.HigherIsBetter, Value: fps},
-		{Name: prefix + "/wire_mb_per_s", Unit: "MB/s", Better: benchfmt.HigherIsBetter, Value: wire},
-		{Name: prefix + "/pixel_mb_per_s", Unit: "MB/s", Better: benchfmt.HigherIsBetter, Value: pixel},
-		{Name: prefix + "/latency_p50_ms", Unit: "ms", Value: lat.P50},
-		{Name: prefix + "/latency_p95_ms", Unit: "ms", Value: lat.P95},
-		{Name: prefix + "/latency_p99_ms", Unit: "ms", Value: lat.P99},
-	}
-	if s.Seen429 > 0 {
-		res = append(res, benchfmt.Result{Name: prefix + "/retried_429", Unit: "count", Value: float64(s.Seen429)})
-	}
-	names := make([]string, 0, len(s.Stages))
-	for name := range s.Stages {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		res = append(res, benchfmt.Result{
-			Name: prefix + "/stage/" + name + "_p95_ms", Unit: "ms", Value: dist(s.Stages[name]).P95,
-		})
-	}
-	return res
 }

@@ -342,7 +342,7 @@ func BenchmarkLabelLarge(b *testing.B) {
 			b.SetBytes(int64(n * n))
 			lab := core.NewLabeler(mode.opt)
 			for i := 0; i < b.N; i++ {
-				if _, err := lab.LabelLarge(img); err != nil {
+				if _, err := lab.Label(img); err != nil {
 					b.Fatal(err)
 				}
 			}

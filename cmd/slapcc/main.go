@@ -125,7 +125,7 @@ func run(args []string) error {
 		opt.Cost = slap.BitSerial(slap.WordBitsForDims(img.W(), img.H()))
 	}
 
-	res, err := core.LabelLarge(img, opt)
+	res, err := core.Label(img, opt)
 	if err != nil {
 		return err
 	}

@@ -28,12 +28,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -194,8 +191,8 @@ func New(cfg Config) *Coordinator {
 	for _, u := range cfg.Backends {
 		co.backends = append(co.backends, newBackend(strings.TrimRight(u, "/"), cfg.ClientOptions))
 	}
-	co.mux.HandleFunc(api.PathLabel, co.instrument("label", co.handleLabel))
-	co.mux.HandleFunc(api.PathAggregate, co.instrument("aggregate", co.handleAggregate))
+	co.mux.HandleFunc(api.PathLabel, co.instrument("label", co.handleRun(false)))
+	co.mux.HandleFunc(api.PathAggregate, co.instrument("aggregate", co.handleRun(true)))
 	co.mux.HandleFunc(api.PathHealthz, co.instrument("healthz", co.handleHealthz))
 	co.mux.HandleFunc(api.PathMetrics, co.instrument("metrics", co.handleMetrics))
 	co.mux.Handle(server.PathDebugRequests, co.DebugHandler())
@@ -272,7 +269,7 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	// The coordinator itself is always healthy — with every backend
 	// down it degrades to local execution rather than going dark.
-	writeJSON(w, http.StatusOK, snap)
+	server.WriteJSON(w, http.StatusOK, snap)
 }
 
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -285,64 +282,8 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	co.reg.render(w, gs)
 }
 
-// statusWriter captures the response code for instrumentation.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
 func (co *Coordinator) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := co.cfg.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		if sw.code == 0 {
-			sw.code = http.StatusOK
-		}
-		co.reg.observe(name, sw.code, co.cfg.Now().Sub(start))
-	}
-}
-
-// readFrame mirrors slapd's body handling: format from the parameter
-// or Content-Type, bounded read, decode under the limits.
-func (co *Coordinator) readFrame(w http.ResponseWriter, r *http.Request, p api.Params) (*bitmap.Bitmap, int, error) {
-	format, err := imageio.ParseFormat(p.Format)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if format == imageio.FormatAuto {
-		format = imageio.FormatFromContentType(r.Header.Get("Content-Type"))
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", co.cfg.MaxBodyBytes)
-		}
-		return nil, http.StatusBadRequest, err
-	}
-	img, err := imageio.DecodeBytes(body, format, co.cfg.Limits)
-	if err != nil {
-		if errors.Is(err, imageio.ErrLimit) {
-			return nil, http.StatusRequestEntityTooLarge, err
-		}
-		return nil, http.StatusBadRequest, err
-	}
-	return img, 0, nil
+	return server.Instrument(name, h, co.cfg.Now, co.reg.observe)
 }
 
 // lifecycle stamps the request's ID on the response header and context
@@ -357,38 +298,23 @@ func (co *Coordinator) readFrame(w http.ResponseWriter, r *http.Request, p api.P
 // histograms, and files the trace in the /debug/requests ring. Returns
 // ok=false when the request was already answered.
 func (co *Coordinator) lifecycle(w http.ResponseWriter, r *http.Request, name string) (*http.Request, func(), bool) {
-	id := r.Header.Get(api.HeaderRequestID)
-	if id == "" {
-		id = api.NewRequestID()
-	}
-	w.Header().Set(api.HeaderRequestID, id)
-	tr := obs.New(id, name, co.cfg.Now)
-	ctx := obs.ContextWith(api.ContextWithRequestID(r.Context(), id), tr.Root())
-	cancel := context.CancelFunc(func() {})
-	if budget, ok := api.ParseDeadline(r.Header.Get(api.HeaderDeadlineMS)); ok {
-		if budget <= 0 {
-			writeError(w, http.StatusGatewayTimeout, "deadline budget already spent")
-			tr.Root().Fail("http 504")
-			tr.Finish()
-			co.ring.Observe(tr)
-			return nil, nil, false
-		}
-		ctx, cancel = context.WithTimeout(ctx, budget)
-	}
+	r, tr := server.StartTrace(w, r, name, co.cfg.Now)
 	done := func() {
-		cancel()
-		if sw, ok := w.(*statusWriter); ok && sw.code >= http.StatusBadRequest {
-			if sw.code == 499 {
-				tr.Root().Cancel()
-			} else {
-				tr.Root().Fail(fmt.Sprintf("http %d", sw.code))
-			}
-		}
-		tr.Finish()
+		server.FinishTrace(w, tr)
 		co.reg.observeStages(tr.Stages())
 		co.ring.Observe(tr)
 	}
-	return r.WithContext(ctx), done, true
+	budget, ok := api.ParseDeadline(r.Header.Get(api.HeaderDeadlineMS))
+	if !ok {
+		return r, done, true
+	}
+	if budget <= 0 {
+		server.WriteError(w, http.StatusGatewayTimeout, "deadline budget already spent")
+		done()
+		return nil, nil, false
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	return r.WithContext(ctx), func() { cancel(); done() }, true
 }
 
 // errNoBackend reports that no backend would accept a job right now:
@@ -727,61 +653,18 @@ func fallbackLocal(err error) bool {
 func writeDispatchError(w http.ResponseWriter, err error) {
 	var se *client.StatusError
 	if errors.As(err, &se) {
-		writeError(w, se.Code, se.Msg)
+		server.WriteError(w, se.Code, se.Msg)
 		return
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
-		writeError(w, http.StatusGatewayTimeout, err.Error())
+		server.WriteError(w, http.StatusGatewayTimeout, err.Error())
 		return
 	}
 	if errors.Is(err, context.Canceled) {
-		writeError(w, 499, err.Error())
+		server.WriteError(w, 499, err.Error())
 		return
 	}
-	writeError(w, http.StatusBadGateway, err.Error())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
-// writeTraced is writeJSON for traced success responses: the body is
-// encoded to a buffer under an "encode" span, then the request's whole
-// span tree — the coordinator's own stages with each attempt's grafted
-// backend tree nested inside — rides ahead of it in a Server-Timing
-// header. The bytes written are identical to writeJSON's, which the
-// cluster-vs-local byte-equality tests depend on.
-func writeTraced(w http.ResponseWriter, code int, v any, sp *obs.Span) {
-	if sp == nil {
-		writeJSON(w, code, v)
-		return
-	}
-	esp := sp.Child("encode")
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	err := enc.Encode(v)
-	esp.EndErr(err)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if tr := sp.Trace(); tr != nil {
-		if st := tr.ServerTiming(); st != "" {
-			w.Header().Set("Server-Timing", st)
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(buf.Bytes())
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, api.ErrorResponse{Error: msg, RequestID: w.Header().Get(api.HeaderRequestID)})
+	server.WriteError(w, http.StatusBadGateway, err.Error())
 }
 
 // stripRunFromResponse reconstructs a core.StripRun from one strip's
@@ -789,7 +672,7 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // speculation stats — none of which ever serialize in a composed
 // response — so the composition over reconstructed runs is
 // byte-identical to the local tiler's.
-func stripRunFromResponse(resp *api.LabelResponse, perPixel []int32, wantAgg bool) (core.StripRun, error) {
+func stripRunFromResponse(resp *api.AggregateResponse, agg bool) (core.StripRun, error) {
 	sw, h := resp.Width, resp.Height
 	if len(resp.Labels) != sw*h {
 		return core.StripRun{}, fmt.Errorf("cluster: strip response has %d labels, want %d", len(resp.Labels), sw*h)
@@ -828,11 +711,11 @@ func stripRunFromResponse(resp *api.LabelResponse, perPixel []int32, wantAgg boo
 			MeanOpCost: resp.UF.MeanOpCost,
 		},
 	}
-	if wantAgg {
-		if len(perPixel) != sw*h {
-			return core.StripRun{}, fmt.Errorf("cluster: strip response has %d per-pixel folds, want %d", len(perPixel), sw*h)
+	if agg {
+		if len(resp.PerPixel) != sw*h {
+			return core.StripRun{}, fmt.Errorf("cluster: strip response has %d per-pixel folds, want %d", len(resp.PerPixel), sw*h)
 		}
-		run.PerPixel = perPixel
+		run.PerPixel = resp.PerPixel
 	}
 	return run, nil
 }
@@ -926,293 +809,220 @@ func (co *Coordinator) runJobs(ctx context.Context, jobs []job, each func(contex
 	return runs, nil
 }
 
-func (co *Coordinator) handleLabel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	p, err := api.ParamsFromQuery(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	r, done, ok := co.lifecycle(w, r, "label")
-	if !ok {
-		return
-	}
-	defer done()
-	root := obs.FromContext(r.Context())
-	dsp := root.Child("decode")
-	img, status, err := co.readFrame(w, r, p)
-	dsp.EndErr(err)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return
-	}
-	// Resolve options exactly as a backend would: rejects bad
-	// parameters here with the same 400s, and configures local
-	// fallback runs identically.
-	opt, err := server.OptionsFromParams(co.cfg.Options, p, img.W(), img.H())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx := r.Context()
-	hs := co.newHedgeState()
+// request is one /v1/label or /v1/aggregate request in flight.
+type request struct {
+	name string       // "label" or "aggregate": the trace and job name
+	p    api.Params   // the caller's parameters
+	op   *core.Monoid // the aggregation monoid; nil on label requests
+	opt  core.Options // p resolved over the coordinator's base options
+	hs   *hedgeState
+}
 
-	aw := opt.ArrayWidth
-	if aw <= 0 || aw >= img.W() {
-		// Whole-image run: one job, routed like any other.
-		resp, err := co.wholeImageLabel(ctx, img, p, opt, hs)
+// handleRun serves /v1/label and, with agg, /v1/aggregate: one request
+// path for both, the monoid nil on label requests.
+func (co *Coordinator) handleRun(agg bool) http.HandlerFunc {
+	name := "label"
+	if agg {
+		name = "aggregate"
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
+			return
+		}
+		rq := request{name: name}
+		var err error
+		if rq.p, err = api.ParamsFromQuery(r.URL.Query()); err != nil {
+			server.WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if agg {
+			op, err := server.MonoidByName(rq.p.Op)
+			if err == nil {
+				err = server.CheckInitial(rq.p.Initial)
+			}
+			if err != nil {
+				server.WriteError(w, http.StatusBadRequest, err.Error())
+				return
+			}
+			rq.op = &op
+		}
+		r, done, ok := co.lifecycle(w, r, name)
+		if !ok {
+			return
+		}
+		defer done()
+		root := obs.FromContext(r.Context())
+		dsp := root.Child("decode")
+		img, _, status, err := server.ReadFrame(w, r, rq.p, co.cfg.MaxBodyBytes, co.cfg.Limits)
+		dsp.EndErr(err)
+		if err != nil {
+			server.WriteError(w, status, err.Error())
+			return
+		}
+		// Resolve options exactly as a backend would: rejects bad
+		// parameters here with the same 400s, and configures local
+		// fallback runs identically.
+		if rq.opt, err = server.OptionsFromParams(co.cfg.Options, rq.p, img.W(), img.H()); err != nil {
+			server.WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		ctx := r.Context()
+		rq.hs = co.newHedgeState()
+
+		aw := rq.opt.ArrayWidth
+		if aw <= 0 || aw >= img.W() {
+			// Whole-image run: one job, routed like any other.
+			resp, err := co.wholeImage(ctx, &rq, img)
+			if err != nil {
+				writeDispatchError(w, err)
+				return
+			}
+			server.WriteTraced(w, http.StatusOK, rq.answer(resp), root)
+			return
+		}
+
+		jobs, err := encodeJobs(img, aw)
+		if err != nil {
+			server.WriteError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		fsp := root.Child("fanout")
+		runs, err := co.runJobs(obs.ContextWith(ctx, fsp), jobs, func(jctx context.Context, j job) (core.StripRun, error) {
+			ssp := obs.FromContext(jctx).Child("strip")
+			if ssp != nil {
+				ssp.Annotate("s=" + strconv.Itoa(j.s))
+			}
+			run, jerr := co.stripJob(obs.ContextWith(jctx, ssp), &rq, j, img.H())
+			ssp.EndErr(jerr)
+			return run, jerr
+		})
+		fsp.EndErr(err)
 		if err != nil {
 			writeDispatchError(w, err)
 			return
 		}
-		writeTraced(w, http.StatusOK, resp, root)
-		return
-	}
-
-	jobs, err := encodeJobs(img, aw)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	stripOpt := opt
-	stripOpt.ArrayWidth = 0
-	stripOpt.StripWorkers = 0
-	fsp := root.Child("fanout")
-	runs, err := co.runJobs(obs.ContextWith(ctx, fsp), jobs, func(jctx context.Context, j job) (core.StripRun, error) {
-		ssp := obs.FromContext(jctx).Child("strip")
-		if ssp != nil {
-			ssp.Annotate("s=" + strconv.Itoa(j.s))
+		tsp := root.Child("stitch")
+		var res *core.Result
+		var ares *core.AggregateResult
+		if rq.op == nil {
+			res, err = core.ComposeStrips(img, runs, rq.opt)
+		} else {
+			ares, err = core.ComposeAggregateStrips(img, runs, *rq.op, rq.opt)
 		}
-		run, jerr := co.labelStrip(obs.ContextWith(jctx, ssp), j, p, opt, stripOpt, img.H(), hs)
-		ssp.EndErr(jerr)
-		return run, jerr
-	})
-	fsp.EndErr(err)
-	if err != nil {
-		writeDispatchError(w, err)
-		return
-	}
-	tsp := root.Child("stitch")
-	res, err := core.ComposeStrips(img, runs, opt)
-	tsp.EndErr(err)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeTraced(w, http.StatusOK, server.ToLabelResponse(res, p.WantLabels), root)
-}
-
-// labelStrip runs one strip's label job: remote dispatch under the
-// retry/hedge policy, degrading to a local run when no backend will
-// take it.
-func (co *Coordinator) labelStrip(ctx context.Context, j job, p api.Params, opt, stripOpt core.Options, h int, hs *hedgeState) (core.StripRun, error) {
-	sp := stripParams(p, opt, h, j.x0, false)
-	resp, derr := dispatch(co, ctx, "label", hs, func(jctx context.Context, cl *client.Client) (*api.LabelResponse, error) {
-		return cl.LabelData(jctx, j.data, string(imageio.FormatRaw.ContentType()), sp)
-	})
-	if derr != nil {
-		if !fallbackLocal(derr) {
-			return core.StripRun{}, derr
-		}
-		co.reg.addFallback()
-		lsp := obs.FromContext(ctx).Child("local")
-		res, lerr := core.Label(mustDecodeStrip(j), stripOpt)
-		lsp.EndErr(lerr)
-		if lerr != nil {
-			return core.StripRun{}, lerr
-		}
-		resp = server.ToLabelResponse(res, true)
-	}
-	return stripRunFromResponse(resp, nil, false)
-}
-
-func (co *Coordinator) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	p, err := api.ParamsFromQuery(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	op, err := server.MonoidByName(p.Op)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	switch strings.ToLower(p.Initial) {
-	case "", "ones", "positions":
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown initial %q (ones, positions)", p.Initial))
-		return
-	}
-	r, done, ok := co.lifecycle(w, r, "aggregate")
-	if !ok {
-		return
-	}
-	defer done()
-	root := obs.FromContext(r.Context())
-	dsp := root.Child("decode")
-	img, status, err := co.readFrame(w, r, p)
-	dsp.EndErr(err)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return
-	}
-	opt, err := server.OptionsFromParams(co.cfg.Options, p, img.W(), img.H())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx := r.Context()
-	hs := co.newHedgeState()
-
-	aw := opt.ArrayWidth
-	if aw <= 0 || aw >= img.W() {
-		resp, err := co.wholeImageAggregate(ctx, img, p, op, opt, hs)
+		tsp.EndErr(err)
 		if err != nil {
-			writeDispatchError(w, err)
+			server.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		writeTraced(w, http.StatusOK, resp, root)
-		return
-	}
-
-	jobs, err := encodeJobs(img, aw)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	stripOpt := opt
-	stripOpt.ArrayWidth = 0
-	stripOpt.StripWorkers = 0
-	h := img.H()
-	fsp := root.Child("fanout")
-	runs, err := co.runJobs(obs.ContextWith(ctx, fsp), jobs, func(jctx context.Context, j job) (core.StripRun, error) {
-		ssp := obs.FromContext(jctx).Child("strip")
-		if ssp != nil {
-			ssp.Annotate("s=" + strconv.Itoa(j.s))
+		if rq.op == nil {
+			server.WriteTraced(w, http.StatusOK, server.ToLabelResponse(res, rq.p.WantLabels), root)
+		} else {
+			server.WriteTraced(w, http.StatusOK, server.ToAggregateResponse(ares, rq.op.Name, rq.p.WantLabels), root)
 		}
-		run, jerr := co.aggregateStrip(obs.ContextWith(jctx, ssp), j, p, op, opt, stripOpt, h, hs)
-		ssp.EndErr(jerr)
-		return run, jerr
-	})
-	fsp.EndErr(err)
-	if err != nil {
-		writeDispatchError(w, err)
-		return
 	}
-	tsp := root.Child("stitch")
-	res, err := core.ComposeAggregateStrips(img, runs, op, opt)
-	tsp.EndErr(err)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeTraced(w, http.StatusOK, server.ToAggregateResponse(res, op.Name, p.WantLabels), root)
 }
 
-// aggregateStrip is labelStrip for /v1/aggregate.
-func (co *Coordinator) aggregateStrip(ctx context.Context, j job, p api.Params, op core.Monoid, opt, stripOpt core.Options, h int, hs *hedgeState) (core.StripRun, error) {
-	sp := stripParams(p, opt, h, j.x0, true)
-	resp, derr := dispatch(co, ctx, "aggregate", hs, func(jctx context.Context, cl *client.Client) (*api.AggregateResponse, error) {
-		return cl.AggregateData(jctx, j.data, string(imageio.FormatRaw.ContentType()), sp)
+// post sends one job's body to cl: /v1/aggregate on aggregation
+// requests, /v1/label otherwise — whose answer then rides in an
+// AggregateResponse with no op and no folds.
+func (rq *request) post(ctx context.Context, cl *client.Client, data []byte, p api.Params) (*api.AggregateResponse, error) {
+	ct := string(imageio.FormatRaw.ContentType())
+	if rq.op != nil {
+		return cl.AggregateData(ctx, data, ct, p)
+	}
+	resp, err := cl.LabelData(ctx, data, ct, p)
+	if err != nil {
+		return nil, err
+	}
+	return &api.AggregateResponse{LabelResponse: *resp}, nil
+}
+
+// answer is the wire body for a whole-image response: the label
+// response alone on label requests.
+func (rq *request) answer(resp *api.AggregateResponse) any {
+	if rq.op == nil {
+		return &resp.LabelResponse
+	}
+	return resp
+}
+
+// local answers a job on the coordinator itself — the last resort when
+// no backend will take it — with the response a backend would have
+// sent. offset is the job's global column-major origin, which
+// positions-initialized folds start from.
+func (rq *request) local(img *bitmap.Bitmap, opt core.Options, offset int, wantLabels bool) (*api.AggregateResponse, error) {
+	if rq.op == nil {
+		res, err := core.Label(img, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &api.AggregateResponse{LabelResponse: *server.ToLabelResponse(res, wantLabels)}, nil
+	}
+	initial, err := server.InitialValues(img, rq.p.Initial, offset)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.Aggregate(img, initial, *rq.op, opt)
+	if err != nil {
+		return nil, err
+	}
+	return server.ToAggregateResponse(res, rq.op.Name, wantLabels), nil
+}
+
+// stripJob runs one strip's job: remote dispatch under the retry/hedge
+// policy, degrading to a local run when no backend will take it.
+func (co *Coordinator) stripJob(ctx context.Context, rq *request, j job, h int) (core.StripRun, error) {
+	sp := stripParams(rq.p, rq.opt, h, j.x0, rq.op != nil)
+	resp, err := dispatch(co, ctx, rq.name, rq.hs, func(jctx context.Context, cl *client.Client) (*api.AggregateResponse, error) {
+		return rq.post(jctx, cl, j.data, sp)
 	})
-	if derr != nil {
-		if !fallbackLocal(derr) {
-			return core.StripRun{}, derr
+	if err != nil {
+		if !fallbackLocal(err) {
+			return core.StripRun{}, err
 		}
 		co.reg.addFallback()
+		stripOpt := rq.opt
+		stripOpt.ArrayWidth = 0
+		stripOpt.StripWorkers = 0
 		lsp := obs.FromContext(ctx).Child("local")
-		strip := mustDecodeStrip(j)
-		initial, ierr := server.InitialValues(strip, p.Initial, p.InitialOffset+j.x0*h)
-		if ierr != nil {
-			lsp.EndErr(ierr)
-			return core.StripRun{}, ierr
-		}
-		res, lerr := core.Aggregate(strip, initial, op, stripOpt)
-		lsp.EndErr(lerr)
-		if lerr != nil {
-			return core.StripRun{}, lerr
-		}
-		resp = server.ToAggregateResponse(res, op.Name, true)
-	}
-	return stripRunFromResponse(&resp.LabelResponse, resp.PerPixel, true)
-}
-
-// wholeImageLabel routes an un-strip-mined request as a single job,
-// degrading to a local run when no backend will take it.
-func (co *Coordinator) wholeImageLabel(ctx context.Context, img *bitmap.Bitmap, p api.Params, opt core.Options, hs *hedgeState) (*api.LabelResponse, error) {
-	data, err := imageio.EncodeBytes(img, imageio.FormatRaw)
-	if err != nil {
-		return nil, err
-	}
-	fp := p
-	fp.Format = string(imageio.FormatRaw)
-	ssp := obs.FromContext(ctx).Child("strip")
-	ctx = obs.ContextWith(ctx, ssp)
-	resp, derr := dispatch(co, ctx, "label", hs, func(jctx context.Context, cl *client.Client) (*api.LabelResponse, error) {
-		return cl.LabelData(jctx, data, string(imageio.FormatRaw.ContentType()), fp)
-	})
-	if derr == nil {
-		ssp.End()
-		return resp, nil
-	}
-	if !fallbackLocal(derr) {
-		ssp.EndErr(derr)
-		return nil, derr
-	}
-	co.reg.addFallback()
-	lsp := ssp.Child("local")
-	res, err := core.Label(img, opt)
-	lsp.EndErr(err)
-	ssp.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	return server.ToLabelResponse(res, p.WantLabels), nil
-}
-
-// wholeImageAggregate is wholeImageLabel for /v1/aggregate.
-func (co *Coordinator) wholeImageAggregate(ctx context.Context, img *bitmap.Bitmap, p api.Params, op core.Monoid, opt core.Options, hs *hedgeState) (*api.AggregateResponse, error) {
-	data, err := imageio.EncodeBytes(img, imageio.FormatRaw)
-	if err != nil {
-		return nil, err
-	}
-	fp := p
-	fp.Format = string(imageio.FormatRaw)
-	ssp := obs.FromContext(ctx).Child("strip")
-	ctx = obs.ContextWith(ctx, ssp)
-	resp, derr := dispatch(co, ctx, "aggregate", hs, func(jctx context.Context, cl *client.Client) (*api.AggregateResponse, error) {
-		return cl.AggregateData(jctx, data, string(imageio.FormatRaw.ContentType()), fp)
-	})
-	if derr == nil {
-		ssp.End()
-		return resp, nil
-	}
-	if !fallbackLocal(derr) {
-		ssp.EndErr(derr)
-		return nil, derr
-	}
-	co.reg.addFallback()
-	lsp := ssp.Child("local")
-	initial, err := server.InitialValues(img, p.Initial, p.InitialOffset)
-	if err != nil {
+		resp, err = rq.local(mustDecodeStrip(j), stripOpt, rq.p.InitialOffset+j.x0*h, true)
 		lsp.EndErr(err)
-		ssp.EndErr(err)
-		return nil, err
+		if err != nil {
+			return core.StripRun{}, err
+		}
 	}
-	res, err := core.Aggregate(img, initial, op, opt)
-	lsp.EndErr(err)
-	ssp.EndErr(err)
+	return stripRunFromResponse(resp, rq.op != nil)
+}
+
+// wholeImage routes an un-strip-mined request as a single job,
+// degrading to a local run when no backend will take it.
+func (co *Coordinator) wholeImage(ctx context.Context, rq *request, img *bitmap.Bitmap) (*api.AggregateResponse, error) {
+	data, err := imageio.EncodeBytes(img, imageio.FormatRaw)
 	if err != nil {
 		return nil, err
 	}
-	return server.ToAggregateResponse(res, op.Name, p.WantLabels), nil
+	fp := rq.p
+	fp.Format = string(imageio.FormatRaw)
+	ssp := obs.FromContext(ctx).Child("strip")
+	ctx = obs.ContextWith(ctx, ssp)
+	resp, derr := dispatch(co, ctx, rq.name, rq.hs, func(jctx context.Context, cl *client.Client) (*api.AggregateResponse, error) {
+		return rq.post(jctx, cl, data, fp)
+	})
+	if derr == nil {
+		ssp.End()
+		return resp, nil
+	}
+	if !fallbackLocal(derr) {
+		ssp.EndErr(derr)
+		return nil, derr
+	}
+	co.reg.addFallback()
+	lsp := ssp.Child("local")
+	resp, err = rq.local(img, rq.opt, rq.p.InitialOffset, rq.p.WantLabels)
+	lsp.EndErr(err)
+	ssp.EndErr(err)
+	return resp, err
 }
 
 // mustDecodeStrip re-decodes a job's already-encoded strip for local

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,14 +148,78 @@ func debugRing(t *testing.T, base string) obs.RingSnapshot {
 	return snap
 }
 
+// workClock is a backend clock that stands still except where a test
+// stands in for the handler's work, so span coverage is exact rather
+// than a race against the scheduler.
+type workClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *workClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *workClock) work() {
+	c.mu.Lock()
+	c.t = c.t.Add(time.Millisecond)
+	c.mu.Unlock()
+}
+
+// workBody charges one unit of work when the handler has read the whole
+// body: the decode stage's work.
+type workBody struct {
+	io.ReadCloser
+	clk *workClock
+}
+
+func (b workBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if err == io.EOF {
+		b.clk.work()
+	}
+	return n, err
+}
+
+// workContext charges one unit of work per cancellation poll: the
+// engine polls its request context inside the run (LabelCtx on entry,
+// the host engine before it labels), so the label stage's work.
+type workContext struct {
+	context.Context
+	clk *workClock
+}
+
+func (c workContext) Err() error {
+	c.clk.work()
+	return c.Context.Err()
+}
+
 // TestTraceStageCoverage is the acceptance criterion for the tracing
 // layer: a strip-mined cost=host request through slapfront returns a
 // merged Server-Timing tree carrying the backends' grafted stages, and
 // on the backend side the per-stage decomposition accounts for at
 // least 90% of each strip request's wall time — the handler's work is
-// the trace, not the gaps between spans.
+// the trace, not the gaps between spans. The backend's wall time is a
+// workClock's, advanced only by the decode and label work, and its
+// requests are served one at a time so each trace sees only its own
+// work: a stage span the handler stops opening turns that stage's work
+// into an uncovered gap, deterministically.
 func TestTraceStageCoverage(t *testing.T) {
-	b := newSlapd(t)
+	clk := &workClock{t: time.Unix(0, 0)}
+	backend := server.New(server.Config{Workers: 2, Now: clk.now})
+	var serial sync.Mutex
+	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serial.Lock()
+		defer serial.Unlock()
+		// A deadline budget would wrap the run's context in a timer
+		// context whose Err never reaches workContext.
+		r.Header.Del(api.HeaderDeadlineMS)
+		r.Body = workBody{r.Body, clk}
+		backend.ServeHTTP(w, r.WithContext(workContext{r.Context(), clk}))
+	}))
+	t.Cleanup(b.Close)
 	_, front := newFront(t, []string{b.URL}, nil)
 
 	img := bitmap.Random(1024, 0.5, 0xBEEF)

@@ -97,7 +97,7 @@ type AggregateResult struct {
 // per-component values, and finally combine the three pieces locally.
 //
 // With 0 < opt.ArrayWidth < img.W() the run strip-mines onto the
-// fixed-width array (see AggregateLarge); results are identical.
+// fixed-width array (see the tiler); results are identical.
 func Aggregate(img *bitmap.Bitmap, initial []int32, op Monoid, opt Options) (*AggregateResult, error) {
 	lb := labelerPool.Get().(*Labeler)
 	defer labelerPool.Put(lb)
@@ -109,7 +109,7 @@ func Aggregate(img *bitmap.Bitmap, initial []int32, op Monoid, opt Options) (*Ag
 // Aggregate: the labeling and the aggregation satellites all run
 // against the labeler's arenas; the only per-call allocation is the
 // returned result. When Options.ArrayWidth names an array narrower than
-// the image, the run is strip-mined (see AggregateLarge and the tiler's
+// the image, the run is strip-mined (see the tiler and its
 // schedule models); per-pixel folds and labels are identical either
 // way.
 func (lb *Labeler) Aggregate(img *bitmap.Bitmap, initial []int32, op Monoid) (*AggregateResult, error) {
@@ -124,7 +124,11 @@ func (lb *Labeler) Aggregate(img *bitmap.Bitmap, initial []int32, op Monoid) (*A
 		return lb.aggregateHost(img, initial, op)
 	}
 	if aw := lb.userOpt.ArrayWidth; aw > 0 && aw < w {
-		return lb.aggregateLarge(img, initial, op)
+		res, out, err := lb.runLarge(img, initial, &op)
+		if err != nil {
+			return nil, err
+		}
+		return aggregateResult(res, out), nil
 	}
 	return lb.aggregateImage(img, initial, op)
 }
@@ -144,7 +148,7 @@ func (lb *Labeler) AggregateCtx(ctx context.Context, img *bitmap.Bitmap, initial
 
 // aggregateImage is Aggregate over the Image interface, always on a
 // whole-image array: the shared path under Aggregate and
-// AggregateLarge's per-strip runs (which pass zero-copy strip views and
+// the tiler's per-strip runs (which pass zero-copy strip views and
 // the strip's contiguous window of the initial values).
 func (lb *Labeler) aggregateImage(img bitmap.Image, initial []int32, op Monoid) (*AggregateResult, error) {
 	w, h := img.W(), img.H()

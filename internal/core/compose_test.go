@@ -82,7 +82,7 @@ func TestComposeAggregateStripsMatchesAggregateLarge(t *testing.T) {
 	for _, op := range []Monoid{Sum(), Min()} {
 		for _, sched := range []ScheduleModel{ScheduleSequential, SchedulePipelined} {
 			opt := Options{ArrayWidth: 16, Schedule: sched}
-			want, err := AggregateLarge(img, initial, op, opt)
+			want, err := Aggregate(img, initial, op, opt)
 			if err != nil {
 				t.Fatalf("AggregateLarge: %v", err)
 			}

@@ -98,7 +98,7 @@ type Options struct {
 	// partitioned into vertical strips of at most ArrayWidth columns,
 	// each strip is labeled by Algorithm CC on the fixed-width array, and
 	// the strip-boundary seams are stitched by a host-side union–find
-	// pass (see LabelLarge and the tiler's schedule model). Labels are
+	// pass (see the tiler's strip path and schedule model). Labels are
 	// identical to the whole-image run's; negative values are rejected.
 	ArrayWidth int
 	// StripWorkers fans the strips of a strip-mined run across a
@@ -360,7 +360,7 @@ func NewLabeler(opt Options) *Labeler {
 
 // Label runs Algorithm CC on img, reusing the labeler's arenas. When
 // Options.ArrayWidth names an array narrower than the image, the run is
-// strip-mined (see LabelLarge); the labeling is identical either way.
+// strip-mined (see the tiler); the labeling is identical either way.
 // Options.Engine == EngineHost answers with the host engine instead:
 // the same labels, no simulation.
 func (lb *Labeler) Label(img *bitmap.Bitmap) (*Result, error) {
@@ -368,7 +368,8 @@ func (lb *Labeler) Label(img *bitmap.Bitmap) (*Result, error) {
 		return lb.labelHost(img)
 	}
 	if aw := lb.userOpt.ArrayWidth; aw > 0 && aw < img.W() {
-		return lb.labelLarge(img)
+		res, _, err := lb.runLarge(img, nil, nil)
+		return res, err
 	}
 	return lb.labelImage(img)
 }
@@ -389,7 +390,7 @@ func (lb *Labeler) LabelCtx(ctx context.Context, img *bitmap.Bitmap) (*Result, e
 }
 
 // labelImage is Label over the Image interface, always on a whole-image
-// array: the shared path under Label, LabelLarge's per-strip runs, and
+// array: the shared path under Label, the tiler's per-strip runs, and
 // Aggregate's labeling step.
 func (lb *Labeler) labelImage(img bitmap.Image) (*Result, error) {
 	labels, err := lb.runCC(img)

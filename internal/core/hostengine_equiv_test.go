@@ -69,11 +69,11 @@ func TestHostEngineLabelMatrix(t *testing.T) {
 				// The host engine ignores ArrayWidth: a strip-mined request
 				// answers with the whole-image labels, which the simulator's
 				// own tiler invariant makes bit-identical.
-				stripSim, err := LabelLarge(img, Options{Connectivity: conn, ArrayWidth: 16})
+				stripSim, err := Label(img, Options{Connectivity: conn, ArrayWidth: 16})
 				if err != nil {
 					t.Fatalf("%s: sim aw=16: %v", name, err)
 				}
-				stripHost, err := LabelLarge(img, Options{Engine: EngineHost, Connectivity: conn, ArrayWidth: 16})
+				stripHost, err := Label(img, Options{Engine: EngineHost, Connectivity: conn, ArrayWidth: 16})
 				if err != nil {
 					t.Fatalf("%s: host aw=16: %v", name, err)
 				}

@@ -53,12 +53,6 @@ func (p *LabelerPool) Workers() int { return p.workers }
 // (export it as a gauge, compare against Workers()), not a reservation.
 func (p *LabelerPool) Idle() int { return len(p.free) }
 
-// withWorker checks out a worker (blocking), runs fn on it, and returns
-// it; see runOn for the panic-safety contract.
-func (p *LabelerPool) withWorker(fn func(*Labeler) (*Result, error)) (*Result, error) {
-	return runOn(p, <-p.free, fn)
-}
-
 // runOn runs fn on a checked-out worker and returns the worker via
 // defer so a panicking labeler cannot shrink the pool: the panic
 // propagates, but the slot is refilled with a fresh labeler (the
@@ -94,26 +88,13 @@ func under[T any](opt Options, fn func(*Labeler) (T, error)) func(*Labeler) (T, 
 // Label runs Algorithm CC on img on any free worker, blocking while all
 // workers are busy. Safe for concurrent use.
 func (p *LabelerPool) Label(img *bitmap.Bitmap) (*Result, error) {
-	return p.withWorker(func(lb *Labeler) (*Result, error) { return lb.Label(img) })
+	return runOn(p, <-p.free, func(lb *Labeler) (*Result, error) { return lb.Label(img) })
 }
 
 // LabelWith is Label under per-call options — the shape a service
 // needs; see under for the worker-restoration contract.
 func (p *LabelerPool) LabelWith(img *bitmap.Bitmap, opt Options) (*Result, error) {
-	return p.withWorker(under(opt, func(lb *Labeler) (*Result, error) { return lb.Label(img) }))
-}
-
-// TryLabelWith is LabelWith without the blocking wait: when no worker
-// is free it reports ok=false immediately and does nothing, so an
-// accept loop can shed load instead of queueing behind the pool.
-func (p *LabelerPool) TryLabelWith(img *bitmap.Bitmap, opt Options) (res *Result, ok bool, err error) {
-	select {
-	case lb := <-p.free:
-		res, err = runOn(p, lb, under(opt, func(lb *Labeler) (*Result, error) { return lb.Label(img) }))
-		return res, true, err
-	default:
-		return nil, false, nil
-	}
+	return runOn(p, <-p.free, under(opt, func(lb *Labeler) (*Result, error) { return lb.Label(img) }))
 }
 
 // LabelWithCtx is LabelWith under a request context: the wait for a
@@ -122,21 +103,18 @@ func (p *LabelerPool) TryLabelWith(img *bitmap.Bitmap, opt Options) (res *Result
 // trace span, the worker wait is recorded as a "pool" child — the
 // queue-behind-the-pool stage every request pays under load.
 func (p *LabelerPool) LabelWithCtx(ctx context.Context, img *bitmap.Bitmap, opt Options) (*Result, error) {
-	psp := obs.FromContext(ctx).Child("pool")
 	lb, err := p.acquire(ctx)
-	psp.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
 	return runOn(p, lb, under(opt, func(lb *Labeler) (*Result, error) { return lb.LabelCtx(ctx, img) }))
 }
 
-// AggregateWithCtx is AggregateWith under a request context, with
-// LabelWithCtx's contract (including the "pool" wait span).
+// AggregateWithCtx runs the Corollary 4 aggregation on any free worker
+// under per-call options and a request context, with LabelWithCtx's
+// contract (including the "pool" wait span). Safe for concurrent use.
 func (p *LabelerPool) AggregateWithCtx(ctx context.Context, img *bitmap.Bitmap, initial []int32, op Monoid, opt Options) (*AggregateResult, error) {
-	psp := obs.FromContext(ctx).Child("pool")
 	lb, err := p.acquire(ctx)
-	psp.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
@@ -145,39 +123,19 @@ func (p *LabelerPool) AggregateWithCtx(ctx context.Context, img *bitmap.Bitmap, 
 	}))
 }
 
-// acquire checks out a worker, abandoning the wait if ctx is cancelled
-// first.
+// acquire checks out a worker under a "pool" trace span, abandoning the
+// wait if ctx is cancelled first.
 func (p *LabelerPool) acquire(ctx context.Context) (*Labeler, error) {
+	psp := obs.FromContext(ctx).Child("pool")
 	select {
 	case lb := <-p.free:
+		psp.End()
 		return lb, nil
 	case <-ctx.Done():
-		return nil, fmt.Errorf("core: cancelled waiting for a worker: %w", ctx.Err())
+		err := fmt.Errorf("core: cancelled waiting for a worker: %w", ctx.Err())
+		psp.EndErr(err)
+		return nil, err
 	}
-}
-
-// AggregateWith runs the Corollary 4 aggregation on any free worker
-// under per-call options, blocking while all workers are busy. Safe for
-// concurrent use; the same lifecycle and restoration contract as
-// LabelWith.
-func (p *LabelerPool) AggregateWith(img *bitmap.Bitmap, initial []int32, op Monoid, opt Options) (*AggregateResult, error) {
-	return runOn(p, <-p.free, under(opt, func(lb *Labeler) (*AggregateResult, error) {
-		return lb.Aggregate(img, initial, op)
-	}))
-}
-
-// labelImage is Label over the Image interface on a whole-image array —
-// the tiler's fan-out path labels strip views through it.
-func (p *LabelerPool) labelImage(img bitmap.Image) (*Result, error) {
-	return p.withWorker(func(lb *Labeler) (*Result, error) { return lb.labelImage(img) })
-}
-
-// aggregateImage is Aggregate over the Image interface on a whole-image
-// array — the tiler's fan-out path aggregates strip views through it.
-func (p *LabelerPool) aggregateImage(img bitmap.Image, initial []int32, op Monoid) (*AggregateResult, error) {
-	return runOn(p, <-p.free, func(lb *Labeler) (*AggregateResult, error) {
-		return lb.aggregateImage(img, initial, op)
-	})
 }
 
 // StreamResult is one frame's outcome, delivered to the stream's sink

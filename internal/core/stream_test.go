@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -272,49 +273,19 @@ func TestLabelerPoolLabelWith(t *testing.T) {
 	}
 }
 
-// TestLabelerPoolTryLabelWith: with every worker checked out TryLabelWith
-// refuses immediately (ok=false, nothing labeled); once a worker is
-// free it labels like LabelWith. The full/empty transition is exact for
-// a 1-worker pool.
-func TestLabelerPoolTryLabelWith(t *testing.T) {
-	img := bitmap.Random(12, 0.5, 5)
-	pool := NewLabelerPool(Options{}, 1)
-	if pool.Idle() != 1 {
-		t.Fatalf("fresh pool Idle() = %d, want 1", pool.Idle())
-	}
-
-	lb := <-pool.free // occupy the only worker
-	if pool.Idle() != 0 {
-		t.Fatalf("emptied pool Idle() = %d, want 0", pool.Idle())
-	}
-	if res, ok, err := pool.TryLabelWith(img, Options{}); ok || res != nil || err != nil {
-		t.Fatalf("TryLabelWith on an empty pool = %v, %v, %v", res, ok, err)
-	}
-	pool.free <- lb
-
-	want := mustLabel(t, img, Options{})
-	res, ok, err := pool.TryLabelWith(img, Options{})
-	if !ok || err != nil {
-		t.Fatalf("TryLabelWith on a free pool = ok=%v, err=%v", ok, err)
-	}
-	if !res.Labels.Equal(want.Labels) {
-		t.Fatal("TryLabelWith mislabels")
-	}
-	if pool.Idle() != 1 {
-		t.Fatalf("pool Idle() = %d after TryLabelWith returned, want 1", pool.Idle())
-	}
-}
-
-// TestLabelerPoolAggregateWith: per-call aggregation matches the
-// one-shot Aggregate, and an error restores the worker and its options.
+// TestLabelerPoolAggregateWith: per-call aggregation (AggregateWithCtx)
+// matches the
+// one-shot Aggregate, and an error restores the worker and its
+// options.
 func TestLabelerPoolAggregateWith(t *testing.T) {
 	img := bitmap.MustParse("##.\n.#.\n..#")
 	pool := NewLabelerPool(Options{}, 1)
+	ctx := context.Background()
 	want, err := Aggregate(img, Ones(img), Sum(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pool.AggregateWith(img, Ones(img), Sum(), Options{})
+	got, err := pool.AggregateWithCtx(ctx, img, Ones(img), Sum(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,26 +295,26 @@ func TestLabelerPoolAggregateWith(t *testing.T) {
 		}
 	}
 
-	// A strip-mined aggregate runs through AggregateLarge and matches the
+	// A strip-mined aggregate runs through the tiler and matches the
 	// whole-image fold; a bad call errors and the worker must come back
 	// with the pool's own options intact.
-	strip, err := pool.AggregateWith(img, Ones(img), Sum(), Options{ArrayWidth: 2})
+	strip, err := pool.AggregateWithCtx(ctx, img, Ones(img), Sum(), Options{ArrayWidth: 2})
 	if err != nil {
-		t.Fatalf("strip-mined AggregateWith: %v", err)
+		t.Fatalf("strip-mined AggregateWithCtx: %v", err)
 	}
 	for i := range want.PerPixel {
 		if want.PerPixel[i] != strip.PerPixel[i] {
 			t.Fatalf("strip-mined PerPixel[%d] = %d, want %d", i, strip.PerPixel[i], want.PerPixel[i])
 		}
 	}
-	if _, err := pool.AggregateWith(img, Ones(img), Monoid{Name: "broken"}, Options{}); err == nil {
+	if _, err := pool.AggregateWithCtx(ctx, img, Ones(img), Monoid{Name: "broken"}, Options{}); err == nil {
 		t.Fatal("monoid without Combine did not error")
 	}
 	if pool.Idle() != 1 {
-		t.Fatalf("worker not returned after AggregateWith error: Idle() = %d", pool.Idle())
+		t.Fatalf("worker not returned after AggregateWithCtx error: Idle() = %d", pool.Idle())
 	}
 	if res, err := pool.Label(img); err != nil || !res.Labels.Equal(mustLabel(t, img, Options{}).Labels) {
-		t.Fatalf("pool unusable after AggregateWith error: %v", err)
+		t.Fatalf("pool unusable after AggregateWithCtx error: %v", err)
 	}
 }
 

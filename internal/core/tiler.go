@@ -14,16 +14,18 @@ import (
 )
 
 // The strip-mined tiler: a real SLAP has a fixed PE count, but the images
-// worth labeling do not. LabelLarge partitions a w×h image into vertical
-// strips of at most Options.ArrayWidth columns, runs Algorithm CC per
-// strip on the fixed-width machine (zero-copy bitmap.Strip views over
-// one warm arena set, or fanned across a LabelerPool), and stitches the
-// strip-boundary seams with a metered union–find pass, relabeling to the
-// global canonical least-column-major labels. AggregateLarge strip-mines
-// the Corollary 4 aggregation the same way: per-strip aggregation, then
-// the seam stitch additionally combines the per-strip component folds
-// under the monoid. Labels and per-pixel aggregates are bit-identical to
-// whole-image runs.
+// worth labeling do not. When 0 < Options.ArrayWidth < img.W(), Label and
+// Aggregate partition the w×h image into vertical strips of at most
+// ArrayWidth columns and take one strip path (runLarge): each strip is a
+// whole-image run on the fixed-width machine (zero-copy bitmap.Strip
+// views over one warm arena set, or fanned across a LabelerPool), and
+// one compose (composeStrips) stitches the strip-boundary seams with a
+// metered union–find pass, relabeling to the global canonical
+// least-column-major labels. A nil *Monoid means a label run; with a
+// monoid each strip runs the Corollary 4 aggregation over its window of
+// the initial values, and the same stitch additionally combines the
+// per-strip component folds under the monoid. Labels and per-pixel
+// aggregates are bit-identical to whole-image runs.
 //
 // # Schedule models
 //
@@ -81,13 +83,6 @@ import (
 // Seam work is O(h·strips + rewritten pixels): lower-order next to the
 // Θ(w·h) labeling work unless strips are extremely narrow.
 
-// LabelLarge runs Algorithm CC on img under opt, strip-mining onto a
-// fixed-width array when 0 < opt.ArrayWidth < img.W() (otherwise it is
-// exactly Label). The labeling always equals the whole-image run's.
-func LabelLarge(img *bitmap.Bitmap, opt Options) (*Result, error) {
-	return Label(img, opt)
-}
-
 // StripRun is one strip's completed whole-image run, ready for seam
 // composition: the strip-local labeling (least strip-local column-major
 // labels, exactly what Label returns for the strip on its own), its
@@ -95,7 +90,7 @@ func LabelLarge(img *bitmap.Bitmap, opt Options) (*Result, error) {
 // strip's per-pixel fold on aggregation runs and is nil otherwise.
 //
 // The split between running strips and composing them is the cluster
-// seam: LabelLarge produces StripRuns locally; the slapfront
+// seam: the tiler produces StripRuns locally; the slapfront
 // coordinator produces them by fanning strips out to slapd backends
 // over the wire. Either way ComposeStrips stitches them into a result
 // bit-identical to the whole-image run.
@@ -112,37 +107,42 @@ type StripRun struct {
 // covering columns [s·aw, min((s+1)·aw, w)) of img, where aw =
 // opt.ArrayWidth. The result — labels, composed metrics under
 // opt.Schedule, seam phases under opt.Seam, union–find report — is
-// bit-identical to LabelLarge(img, opt), which is implemented on top of
-// the same composition.
+// bit-identical to Label(img, opt), which strip-mines through the same
+// composition.
 func ComposeStrips(img *bitmap.Bitmap, runs []StripRun, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	if err := checkCompose(img, runs, opt, false); err != nil {
-		return nil, err
-	}
-	lb := labelerPool.Get().(*Labeler)
-	defer labelerPool.Put(lb)
-	lb.userOpt = opt
-	return lb.composeLabelStrips(img, runs, opt), nil
+	res, _, err := composeChecked(img, runs, nil, opt)
+	return res, err
 }
 
 // ComposeAggregateStrips is ComposeStrips for aggregation runs: each
 // run's PerPixel must hold the strip's own Corollary-4 fold under op,
 // and the stitch additionally combines the per-strip folds of
-// seam-crossing components. Bit-identical to AggregateLarge(img,
-// initial, op, opt) when the runs were aggregated over the matching
-// windows of initial.
+// seam-crossing components. Bit-identical to Aggregate(img, initial,
+// op, opt) when the runs were aggregated over the matching windows of
+// initial.
 func ComposeAggregateStrips(img *bitmap.Bitmap, runs []StripRun, op Monoid, opt Options) (*AggregateResult, error) {
-	opt = opt.withDefaults()
-	if op.Combine == nil {
-		return nil, fmt.Errorf("core: monoid %q has no Combine", op.Name)
-	}
-	if err := checkCompose(img, runs, opt, true); err != nil {
+	res, out, err := composeChecked(img, runs, &op, opt)
+	if err != nil {
 		return nil, err
+	}
+	return aggregateResult(res, out), nil
+}
+
+// composeChecked validates a ComposeStrips / ComposeAggregateStrips call
+// and composes the runs on a pooled labeler.
+func composeChecked(img *bitmap.Bitmap, runs []StripRun, op *Monoid, opt Options) (*Result, []int32, error) {
+	opt = opt.withDefaults()
+	if op != nil && op.Combine == nil {
+		return nil, nil, fmt.Errorf("core: monoid %q has no Combine", op.Name)
+	}
+	if err := checkCompose(img, runs, opt, op != nil); err != nil {
+		return nil, nil, err
 	}
 	lb := labelerPool.Get().(*Labeler)
 	defer labelerPool.Put(lb)
 	lb.userOpt = opt
-	return lb.composeAggregateStrips(img, runs, op, opt), nil
+	res, out := lb.composeStrips(img, runs, op, opt)
+	return res, out, nil
 }
 
 // checkCompose validates a ComposeStrips call: a genuinely strip-mined
@@ -193,30 +193,6 @@ func dimsOf(lm *bitmap.LabelMap) string {
 	return fmt.Sprintf("%dx%d", lm.W(), lm.H())
 }
 
-// AggregateLarge runs the Corollary 4 aggregation on img under opt,
-// strip-mining onto a fixed-width array when 0 < opt.ArrayWidth <
-// img.W() (otherwise it is exactly Aggregate): per-strip aggregation
-// over zero-copy strip views, then a seam stitch that merges
-// seam-crossing components and combines their per-strip folds under op.
-// Labels and per-pixel folds always equal the whole-image run's.
-func AggregateLarge(img *bitmap.Bitmap, initial []int32, op Monoid, opt Options) (*AggregateResult, error) {
-	return Aggregate(img, initial, op, opt)
-}
-
-// LabelLarge is the Labeler's reusable form of the package-level
-// LabelLarge; it is exactly Label (which strip-mines whenever
-// Options.ArrayWidth names an array narrower than the image).
-func (lb *Labeler) LabelLarge(img *bitmap.Bitmap) (*Result, error) {
-	return lb.Label(img)
-}
-
-// AggregateLarge is the Labeler's reusable form of the package-level
-// AggregateLarge; it is exactly Aggregate (which strip-mines whenever
-// Options.ArrayWidth names an array narrower than the image).
-func (lb *Labeler) AggregateLarge(img *bitmap.Bitmap, initial []int32, op Monoid) (*AggregateResult, error) {
-	return lb.Aggregate(img, initial, op)
-}
-
 // seamPhaseNames are the phases a strip-mined run's seam pass can
 // emit, in execution order: the stitch itself, then — under the
 // distributed relabel — the remap broadcast and the per-PE rewrite.
@@ -246,8 +222,7 @@ func stripSpan(w, aw, s int) (x0, sw int) {
 	return x0, sw
 }
 
-// checkTiling validates the strip-mined entry preconditions shared by
-// labelLarge and aggregateLarge.
+// checkTiling validates the strip-mined entry preconditions.
 func checkTiling(w, h int, opt Options) error {
 	if 2*int64(w)*int64(h) > math.MaxInt32 {
 		return fmt.Errorf("core: image %dx%d exceeds the int32 label space", w, h)
@@ -324,13 +299,18 @@ func stripTraceSpan(ctx context.Context, s int) *obs.Span {
 	return ssp
 }
 
-// labelLarge executes the strip-mined labeling run. Callers guarantee
-// 0 < ArrayWidth < img.W().
-func (lb *Labeler) labelLarge(img *bitmap.Bitmap) (*Result, error) {
+// runLarge executes a strip-mined run: Algorithm CC per strip when op is
+// nil, the Corollary 4 aggregation over initial otherwise (each strip
+// sees the contiguous column-major window of initial its columns own —
+// zero-copy, like the strip views themselves). It returns the composed
+// result and, on aggregation runs, the per-pixel folds. Callers
+// guarantee 0 < ArrayWidth < img.W() and, with op, validated
+// initial/op.
+func (lb *Labeler) runLarge(img *bitmap.Bitmap, initial []int32, op *Monoid) (*Result, []int32, error) {
 	opt := lb.userOpt.withDefaults()
 	w, h := img.W(), img.H()
 	if err := checkTiling(w, h, opt); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	aw := opt.ArrayWidth
 	strips := (w + aw - 1) / aw
@@ -355,29 +335,24 @@ func (lb *Labeler) labelLarge(img *bitmap.Bitmap) (*Result, error) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				if err := cancelCheck(ctx); err != nil {
-					errs[s] = err
+				if errs[s] = cancelCheck(ctx); errs[s] != nil {
 					return
 				}
 				ssp := stripTraceSpan(ctx, s)
-				x0, sw := stripSpan(w, aw, s)
-				res, err := pool.labelImage(img.StripView(x0, sw))
-				ssp.EndErr(err)
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				runs[s] = StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, Speculation: res.Speculation}
+				runs[s], errs[s] = runOn(pool, <-pool.free, func(wl *Labeler) (StripRun, error) {
+					return wl.runStrip(img, initial, op, aw, s)
+				})
+				ssp.EndErr(errs[s])
 			}(s)
 		}
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	} else {
-		// One warm arena set labels every strip in turn: the machine and
+		// One warm arena set runs every strip in turn: the machine and
 		// column arenas reset in place per strip, as across frames. A
 		// cancelled request context stops the run between strips instead
 		// of finishing the whole image.
@@ -386,43 +361,73 @@ func (lb *Labeler) labelLarge(img *bitmap.Bitmap) (*Result, error) {
 		defer func() { lb.userOpt = saved }()
 		for s := 0; s < strips; s++ {
 			if err := cancelCheck(lb.ctx); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			ssp := stripTraceSpan(lb.ctx, s)
-			x0, sw := stripSpan(w, aw, s)
-			res, err := lb.labelImage(img.StripView(x0, sw))
+			run, err := lb.runStrip(img, initial, op, aw, s)
 			ssp.EndErr(err)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			runs[s] = StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, Speculation: res.Speculation}
+			runs[s] = run
 		}
 	}
 
-	return lb.composeLabelStrips(img, runs, opt), nil
+	res, out := lb.composeStrips(img, runs, op, opt)
+	return res, out, nil
 }
 
-// composeLabelStrips is the second half of a strip-mined labeling run —
-// globalize the strip labelings, stitch the seams, compose the report
-// under the schedule model — shared by labelLarge and the exported
-// ComposeStrips (whose runs arrive from remote backends).
-func (lb *Labeler) composeLabelStrips(img *bitmap.Bitmap, runs []StripRun, opt Options) *Result {
+// runStrip runs strip s of an aw-column tiling of img as a whole-image
+// run on lb: the labeling when op is nil, the aggregation over the
+// strip's window of initial otherwise.
+func (lb *Labeler) runStrip(img *bitmap.Bitmap, initial []int32, op *Monoid, aw, s int) (StripRun, error) {
+	x0, sw := stripSpan(img.W(), aw, s)
+	view := img.StripView(x0, sw)
+	if op == nil {
+		res, err := lb.labelImage(view)
+		if err != nil {
+			return StripRun{}, err
+		}
+		return StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, Speculation: res.Speculation}, nil
+	}
+	h := img.H()
+	res, err := lb.aggregateImage(view, initial[x0*h:(x0+sw)*h], *op)
+	if err != nil {
+		return StripRun{}, err
+	}
+	return StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, PerPixel: res.PerPixel}, nil
+}
+
+// composeStrips is the second half of a strip-mined run — globalize the
+// strip labelings, stitch the seams, compose the report under the
+// schedule model — shared by runLarge and the exported ComposeStrips /
+// ComposeAggregateStrips (whose runs arrive from remote backends). On
+// aggregation runs (op non-nil) it also places the strips' per-pixel
+// folds and the stitch combines the folds of seam-crossing components;
+// the folds are returned alongside, nil on label runs.
+func (lb *Labeler) composeStrips(img *bitmap.Bitmap, runs []StripRun, op *Monoid, opt Options) (*Result, []int32) {
 	w, h := img.W(), img.H()
 	aw := opt.ArrayWidth
 	global := bitmap.NewLabelMap(w, h)
-	for s, run := range runs {
-		globalizeLabels(global, run.Labels, s*aw, h)
+	var out []int32
+	if op != nil {
+		out = make([]int32, w*h)
 	}
-
-	if opt.Engine == EngineHost {
-		tsp := obs.FromContext(lb.ctx).Child("stitch")
-		rep, spec := lb.composeHostStrips(img, global, runs, nil, nil, opt)
-		tsp.End()
-		return &Result{Labels: global, UF: rep, Speculation: spec}
+	for s, run := range runs {
+		x0 := s * aw
+		globalizeLabels(global, run.Labels, x0, h)
+		if op != nil {
+			copy(out[x0*h:], run.PerPixel)
+		}
 	}
 
 	tsp := obs.FromContext(lb.ctx).Child("stitch")
-	seamPhases, seamStats, seamMem := lb.stitchSeams(img, global, nil, nil, aw, opt)
+	if opt.Engine == EngineHost {
+		rep, spec := lb.composeHostStrips(img, global, runs, out, op, opt)
+		tsp.End()
+		return &Result{Labels: global, UF: rep, Speculation: spec}, out
+	}
+	seamPhases, seamStats, seamMem := lb.stitchSeams(img, global, out, op, aw, opt)
 	tsp.End()
 
 	// Compose the whole-run report under the selected schedule model.
@@ -443,120 +448,13 @@ func (lb *Labeler) composeLabelStrips(img *bitmap.Bitmap, runs []StripRun, opt O
 		comp.PEMemory = seamMem
 	}
 	finishStripUF(&rep, steps, ops, seamStats)
-	return &Result{Labels: global, Metrics: comp, UF: rep, Speculation: spec}
+	return &Result{Labels: global, Metrics: comp, UF: rep, Speculation: spec}, out
 }
 
-// aggregateLarge executes the strip-mined Corollary 4 aggregation.
-// Callers guarantee 0 < ArrayWidth < img.W() and validated initial/op.
-func (lb *Labeler) aggregateLarge(img *bitmap.Bitmap, initial []int32, op Monoid) (*AggregateResult, error) {
-	opt := lb.userOpt.withDefaults()
-	w, h := img.W(), img.H()
-	if err := checkTiling(w, h, opt); err != nil {
-		return nil, err
-	}
-	aw := opt.ArrayWidth
-	strips := (w + aw - 1) / aw
-
-	stripOpt := opt
-	stripOpt.ArrayWidth = 0
-	stripOpt.StripWorkers = 0
-
-	// Per-strip aggregation: each strip sees the contiguous column-major
-	// window of the initial values its columns own — zero-copy, like the
-	// strip views themselves.
-	runs := make([]StripRun, strips)
-	if opt.StripWorkers > 1 && strips > 1 {
-		ctx := lb.ctx
-		pool := lb.ensureStripPool(stripOpt, opt.StripWorkers, strips)
-		errs := make([]error, strips)
-		var wg sync.WaitGroup
-		for s := 0; s < strips; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				if err := cancelCheck(ctx); err != nil {
-					errs[s] = err
-					return
-				}
-				ssp := stripTraceSpan(ctx, s)
-				x0, sw := stripSpan(w, aw, s)
-				res, err := pool.aggregateImage(img.StripView(x0, sw), initial[x0*h:(x0+sw)*h], op)
-				ssp.EndErr(err)
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				runs[s] = StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, PerPixel: res.PerPixel}
-			}(s)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		saved := lb.userOpt
-		lb.userOpt = stripOpt
-		defer func() { lb.userOpt = saved }()
-		for s := 0; s < strips; s++ {
-			if err := cancelCheck(lb.ctx); err != nil {
-				return nil, err
-			}
-			ssp := stripTraceSpan(lb.ctx, s)
-			x0, sw := stripSpan(w, aw, s)
-			res, err := lb.aggregateImage(img.StripView(x0, sw), initial[x0*h:(x0+sw)*h], op)
-			ssp.EndErr(err)
-			if err != nil {
-				return nil, err
-			}
-			runs[s] = StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, PerPixel: res.PerPixel}
-		}
-	}
-
-	return lb.composeAggregateStrips(img, runs, op, opt), nil
-}
-
-// composeAggregateStrips is composeLabelStrips for aggregation runs:
-// the stitch additionally combines seam-crossing components' per-strip
-// folds under op. Shared by aggregateLarge and ComposeAggregateStrips.
-func (lb *Labeler) composeAggregateStrips(img *bitmap.Bitmap, runs []StripRun, op Monoid, opt Options) *AggregateResult {
-	w, h := img.W(), img.H()
-	aw := opt.ArrayWidth
-	global := bitmap.NewLabelMap(w, h)
-	out := make([]int32, w*h)
-	for s, run := range runs {
-		x0 := s * aw
-		globalizeLabels(global, run.Labels, x0, h)
-		copy(out[x0*h:], run.PerPixel)
-	}
-
-	if opt.Engine == EngineHost {
-		tsp := obs.FromContext(lb.ctx).Child("stitch")
-		rep, _ := lb.composeHostStrips(img, global, runs, out, &op, opt)
-		tsp.End()
-		return &AggregateResult{PerPixel: out, Labels: global, UF: rep}
-	}
-
-	tsp := obs.FromContext(lb.ctx).Child("stitch")
-	seamPhases, seamStats, seamMem := lb.stitchSeams(img, global, out, &op, aw, opt)
-	tsp.End()
-
-	comp := slap.Metrics{N: aw}
-	rep := UFReport{Kind: opt.UF}
-	var steps, ops int64
-	for _, run := range runs {
-		mergeStrip(&comp, opt, run.Metrics)
-		foldStripUF(&rep, &steps, &ops, run.UF)
-	}
-	for _, p := range seamPhases {
-		comp.AppendPhase(p)
-	}
-	if seamMem > comp.PEMemory {
-		comp.PEMemory = seamMem
-	}
-	finishStripUF(&rep, steps, ops, seamStats)
-	return &AggregateResult{PerPixel: out, Labels: global, Metrics: comp, UF: rep}
+// aggregateResult pairs a composed strip-mined run with its per-pixel
+// folds.
+func aggregateResult(res *Result, out []int32) *AggregateResult {
+	return &AggregateResult{PerPixel: out, Labels: res.Labels, Metrics: res.Metrics, UF: res.UF}
 }
 
 // ensureStripPool returns the labeler's cached strip-worker pool,

@@ -10,7 +10,7 @@ import (
 // mustLabelLarge is mustLabel through the strip-mined entry point.
 func mustLabelLarge(t *testing.T, img *bitmap.Bitmap, opt Options) *Result {
 	t.Helper()
-	res, err := LabelLarge(img, opt)
+	res, err := Label(img, opt)
 	if err != nil {
 		t.Fatalf("LabelLarge: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestLabelLargeHuge(t *testing.T) {
 	lab := NewLabeler(Options{ArrayWidth: aw})
 	for _, fam := range bitmap.Families() {
 		img := fam.Generate(n)
-		res, err := lab.LabelLarge(img)
+		res, err := lab.Label(img)
 		if err != nil {
 			t.Fatalf("%s: %v", fam.Name, err)
 		}
@@ -88,7 +88,7 @@ func TestLabelLargeHuge(t *testing.T) {
 			t.Fatalf("family %s missing", name)
 		}
 		img := fam.Generate(n)
-		res, err := LabelLarge(img, Options{ArrayWidth: aw, Connectivity: bitmap.Conn8})
+		res, err := Label(img, Options{ArrayWidth: aw, Connectivity: bitmap.Conn8})
 		if err != nil {
 			t.Fatalf("%s/conn8: %v", name, err)
 		}
@@ -229,17 +229,17 @@ func TestLabelLargeDeterministicAcrossModes(t *testing.T) {
 	warm := NewLabeler(base)
 	warm.Label(bitmap.Random(21, 0.4, 5)) // dirty the arenas first
 	cases := map[string]func() (*Result, error){
-		"repeat": func() (*Result, error) { return LabelLarge(img, base) },
-		"warm":   func() (*Result, error) { return warm.LabelLarge(img) },
+		"repeat": func() (*Result, error) { return Label(img, base) },
+		"warm":   func() (*Result, error) { return warm.Label(img) },
 		"pool3": func() (*Result, error) {
 			opt := base
 			opt.StripWorkers = 3
-			return LabelLarge(img, opt)
+			return Label(img, opt)
 		},
 		"pool16": func() (*Result, error) {
 			opt := base
 			opt.StripWorkers = 16
-			return LabelLarge(img, opt)
+			return Label(img, opt)
 		},
 	}
 	for name, run := range cases {
@@ -280,19 +280,19 @@ func TestLabelLargeRejectsBadOptions(t *testing.T) {
 	if _, err := Label(img, Options{StripWorkers: -2}); err == nil {
 		t.Error("negative StripWorkers accepted")
 	}
-	if _, err := LabelLarge(img, Options{ArrayWidth: 4, StripWorkers: -1}); err == nil {
+	if _, err := Label(img, Options{ArrayWidth: 4, StripWorkers: -1}); err == nil {
 		t.Error("negative StripWorkers accepted on the strip path")
 	}
 	if _, err := Label(img, Options{Seam: "telepathy"}); err == nil {
 		t.Error("unknown seam model accepted")
 	}
-	if _, err := LabelLarge(img, Options{ArrayWidth: 4, Schedule: "asap"}); err == nil {
+	if _, err := Label(img, Options{ArrayWidth: 4, Schedule: "asap"}); err == nil {
 		t.Error("unknown schedule model accepted")
 	}
 	if _, err := Aggregate(img, Ones(img), Monoid{Name: "broken"}, Options{ArrayWidth: 4}); err == nil {
 		t.Error("monoid without Combine accepted on the strip path")
 	}
-	if _, err := AggregateLarge(img, Ones(img)[:3], Sum(), Options{ArrayWidth: 4}); err == nil {
+	if _, err := Aggregate(img, Ones(img)[:3], Sum(), Options{ArrayWidth: 4}); err == nil {
 		t.Error("short initial slice accepted on the strip path")
 	}
 }
@@ -321,7 +321,7 @@ func TestGoldenLargeStepCounts(t *testing.T) {
 		{"serp64-aw32-dist-pipe", bitmap.HSerpentine(64), Options{ArrayWidth: 32, Schedule: SchedulePipelined}, goldenLargeSerp64AW32DistPipe},
 	}
 	for _, tc := range cases {
-		res, err := LabelLarge(tc.img, tc.opt)
+		res, err := Label(tc.img, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -347,7 +347,7 @@ const (
 // composed accounting the same way.
 func TestGoldenAggregateLargeStepCounts(t *testing.T) {
 	img := bitmap.Checker(64)
-	res, err := AggregateLarge(img, Ones(img), Sum(), Options{ArrayWidth: 16})
+	res, err := Aggregate(img, Ones(img), Sum(), Options{ArrayWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestGoldenAggregateLargeStepCounts(t *testing.T) {
 			res.Metrics.Time, goldenAggChecker64AW16DistSeq)
 	}
 	img2 := bitmap.HSerpentine(64)
-	res2, err := AggregateLarge(img2, Ones(img2), Sum(), Options{ArrayWidth: 32, Schedule: SchedulePipelined})
+	res2, err := Aggregate(img2, Ones(img2), Sum(), Options{ArrayWidth: 32, Schedule: SchedulePipelined})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestAggregateLargeMatchesWholeImage(t *testing.T) {
 					if oi > 0 && aw != 7 {
 						continue // Min/Max ride one width; Sum sweeps all
 					}
-					res, err := AggregateLarge(img, initial, tc.op, Options{Connectivity: conn, ArrayWidth: aw})
+					res, err := Aggregate(img, initial, tc.op, Options{Connectivity: conn, ArrayWidth: aw})
 					if err != nil {
 						t.Fatalf("%s/conn%d/%s/aw%d: %v", fam.Name, conn, tc.op.Name, aw, err)
 					}
@@ -467,7 +467,7 @@ func TestAggregateLargeNonSquareFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: whole: %v", trial, err)
 		}
-		res, err := AggregateLarge(img, initial, op, opt)
+		res, err := Aggregate(img, initial, op, opt)
 		if err != nil {
 			t.Fatalf("trial %d (%dx%d aw=%d conn%d %s): %v", trial, w, h, aw, conn, op.Name, err)
 		}
@@ -495,7 +495,7 @@ func TestAggregateLargeHuge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: whole: %v", fam.Name, err)
 		}
-		res, err := lab.AggregateLarge(img, initial, Sum())
+		res, err := lab.Aggregate(img, initial, Sum())
 		if err != nil {
 			t.Fatalf("%s: %v", fam.Name, err)
 		}
@@ -512,19 +512,19 @@ func TestAggregateLargeDeterministicAcrossModes(t *testing.T) {
 	img := bitmap.RandomRect(90, 37, 0.5, 4242)
 	initial := Ones(img)
 	base := Options{ArrayWidth: 13, Connectivity: bitmap.Conn8}
-	first, err := AggregateLarge(img, initial, Sum(), base)
+	first, err := Aggregate(img, initial, Sum(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := NewLabeler(base)
 	warm.Label(bitmap.Random(21, 0.4, 5)) // dirty the arenas first
 	cases := map[string]func() (*AggregateResult, error){
-		"repeat": func() (*AggregateResult, error) { return AggregateLarge(img, initial, Sum(), base) },
-		"warm":   func() (*AggregateResult, error) { return warm.AggregateLarge(img, initial, Sum()) },
+		"repeat": func() (*AggregateResult, error) { return Aggregate(img, initial, Sum(), base) },
+		"warm":   func() (*AggregateResult, error) { return warm.Aggregate(img, initial, Sum()) },
 		"pool3": func() (*AggregateResult, error) {
 			opt := base
 			opt.StripWorkers = 3
-			return AggregateLarge(img, initial, Sum(), opt)
+			return Aggregate(img, initial, Sum(), opt)
 		},
 	}
 	for name, run := range cases {

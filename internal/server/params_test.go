@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -144,4 +145,46 @@ func TestHostCostEndToEnd(t *testing.T) {
 			t.Fatalf("array=%d: host aggregate leaked metrics: %+v", p.ArrayWidth, hostA.Metrics)
 		}
 	}
+}
+
+// FuzzOptionsFromParams drives the query-parameter trust boundary that
+// every /v1/label and /v1/aggregate request crosses before any work: a
+// raw query string through api.ParamsFromQuery, OptionsFromParams over
+// a bounded frame, MonoidByName and CheckInitial. Nothing may panic,
+// and params the parser accepts must round-trip through Params.Query.
+func FuzzOptionsFromParams(f *testing.F) {
+	for _, seed := range []struct {
+		query string
+		w, h  uint16
+	}{
+		{"", 8, 8},
+		{"conn=8&uf=blum&cost=bitserial&wordbits=12&array=4&seam=host&schedule=pipelined&labels=1", 64, 16},
+		{"cost=host&op=sum&initial=positions&initialoffset=-7&labels=true", 3, 5},
+		{"cost=BitSerial&seam=DISTRIBUTED&schedule=Sequential&op=OR&initial=Ones", 0, 0},
+		{"cost=bitserial&wordbits=2147483647", 65535, 65535},
+		{"conn=6&uf=bogus&cost=quantum", 8, 8},
+		{"array=-1&wordbits=x", 8, 8},
+		{"op=xor&initial=zeros", 8, 8},
+		{"labels=maybe&format=png", 8, 8},
+		{"%zz&conn=+4&conn=8&array=2", 8, 8},
+		{"initialoffset=99999999999999999999", 8, 8},
+	} {
+		f.Add(seed.query, seed.w, seed.h)
+	}
+	f.Fuzz(func(t *testing.T, query string, w, h uint16) {
+		// r.URL.Query() drops malformed pairs the same way.
+		q, _ := url.ParseQuery(query)
+		p, err := api.ParamsFromQuery(q)
+		if err != nil {
+			return
+		}
+		back, err := api.ParamsFromQuery(p.Query())
+		if err != nil || back != p {
+			t.Fatalf("params %+v round-trip to %+v, %v", p, back, err)
+		}
+		// Rejections are answers (400s); only a panic fails.
+		OptionsFromParams(core.Options{}, p, int(w), int(h))
+		MonoidByName(p.Op)
+		CheckInitial(p.Initial)
+	})
 }

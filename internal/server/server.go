@@ -147,8 +147,8 @@ func New(cfg Config) *Server {
 		limit: float64(cfg.Workers + cfg.QueueDepth),
 	}
 	s.idle.L = &s.mu
-	s.mux.HandleFunc(api.PathLabel, s.instrument("label", s.admitted("label", s.recovered(s.handleLabel))))
-	s.mux.HandleFunc(api.PathAggregate, s.instrument("aggregate", s.admitted("aggregate", s.recovered(s.handleAggregate))))
+	s.mux.HandleFunc(api.PathLabel, s.instrument("label", s.admitted("label", s.recovered(s.handleRun(false)))))
+	s.mux.HandleFunc(api.PathAggregate, s.instrument("aggregate", s.admitted("aggregate", s.recovered(s.handleRun(true)))))
 	s.mux.HandleFunc(api.PathBatch, s.instrument("batch", s.admitted("batch", s.recovered(s.handleBatch))))
 	s.mux.HandleFunc(api.PathHealthz, s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc(api.PathMetrics, s.instrument("metrics", s.handleMetrics))
@@ -233,15 +233,54 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // instrument wraps a handler with per-endpoint request and latency
 // accounting.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	return Instrument(name, h, s.cfg.Now, s.reg.observe)
+}
+
+// Instrument wraps h with per-endpoint accounting: observe receives the
+// endpoint name, the response status (200 when h wrote none) and the
+// wall time on now's clock. The slapd and slapfront muxes share it.
+func Instrument(name string, h http.HandlerFunc, now func() time.Time, observe func(name string, code int, d time.Duration)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := s.cfg.Now()
+		start := now()
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r)
 		if sw.code == 0 {
 			sw.code = http.StatusOK
 		}
-		s.reg.observe(name, sw.code, s.cfg.Now().Sub(start))
+		observe(name, sw.code, now().Sub(start))
 	}
+}
+
+// StartTrace stamps the request's ID — the caller's X-Slap-Request-Id,
+// or a fresh one — on the response header before anything can fail, so
+// WriteError (and panic recovery) echo it from any depth, and on the
+// context, so downstream calls carry it. It opens the request's trace,
+// named name on now's clock, whose root span rides the returned
+// request's context. Callers end it with FinishTrace.
+func StartTrace(w http.ResponseWriter, r *http.Request, name string, now func() time.Time) (*http.Request, *obs.Trace) {
+	id := r.Header.Get(api.HeaderRequestID)
+	if id == "" {
+		id = api.NewRequestID()
+	}
+	w.Header().Set(api.HeaderRequestID, id)
+	tr := obs.New(id, name, now)
+	ctx := obs.ContextWith(api.ContextWithRequestID(r.Context(), id), tr.Root())
+	return r.WithContext(ctx), tr
+}
+
+// FinishTrace settles a StartTrace trace from the status recorded on w
+// (an Instrument-wrapped writer): 499 marks the root cancelled, any
+// other error status failed. Then it finishes the trace, ready for the
+// stage histograms and the /debug/requests ring.
+func FinishTrace(w http.ResponseWriter, tr *obs.Trace) {
+	if sw, ok := w.(*statusWriter); ok && sw.code >= http.StatusBadRequest {
+		if sw.code == statusClientClosedRequest {
+			tr.Root().Cancel()
+		} else {
+			tr.Root().Fail(fmt.Sprintf("http %d", sw.code))
+		}
+	}
+	tr.Finish()
 }
 
 // admitted wraps a labeling handler with method filtering, request-ID
@@ -253,35 +292,17 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) admitted(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		// Request ID: take the caller's, mint one otherwise. The response
-		// header is set before anything can fail, so writeError (and the
-		// panic recovery below it) echo the ID from any depth.
-		id := r.Header.Get(api.HeaderRequestID)
-		if id == "" {
-			id = api.NewRequestID()
-		}
-		w.Header().Set(api.HeaderRequestID, id)
-
 		// The request trace rides the context from here on: core's span
 		// hooks (pool wait, strips, stitch) attach under whatever stage
 		// span the handler has opened. Every exit — shed, refused, failed,
 		// answered — finalizes into the stage histograms and the
 		// /debug/requests ring.
-		tr := obs.New(id, name, s.cfg.Now)
-		ctx := obs.ContextWith(api.ContextWithRequestID(r.Context(), id), tr.Root())
-		r = r.WithContext(ctx)
+		r, tr := StartTrace(w, r, name, s.cfg.Now)
 		defer func() {
-			if sw, ok := w.(*statusWriter); ok && sw.code >= http.StatusBadRequest {
-				if sw.code == statusClientClosedRequest {
-					tr.Root().Cancel()
-				} else {
-					tr.Root().Fail(fmt.Sprintf("http %d", sw.code))
-				}
-			}
-			tr.Finish()
+			FinishTrace(w, tr)
 			s.reg.observeStages(tr.Stages())
 			s.ring.Observe(tr)
 		}()
@@ -293,12 +314,12 @@ func (s *Server) admitted(name string, h http.HandlerFunc) http.HandlerFunc {
 		if budget, ok := api.ParseDeadline(r.Header.Get(api.HeaderDeadlineMS)); ok {
 			if budget <= 0 {
 				s.reg.addDeadlineRejected()
-				writeError(w, http.StatusGatewayTimeout, "deadline budget already spent")
+				WriteError(w, http.StatusGatewayTimeout, "deadline budget already spent")
 				return
 			}
 			if need := s.deadlineEstimate(); need > 0 && budget < need {
 				s.reg.addDeadlineRejected()
-				writeError(w, http.StatusGatewayTimeout,
+				WriteError(w, http.StatusGatewayTimeout,
 					fmt.Sprintf("deadline budget %v under queue-scaled estimate %v", budget, need))
 				return
 			}
@@ -319,13 +340,13 @@ func (s *Server) admitted(name string, h http.HandlerFunc) http.HandlerFunc {
 				secs = 1
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeError(w, http.StatusTooManyRequests, "admission queue full, retry later")
+			WriteError(w, http.StatusTooManyRequests, "admission queue full, retry later")
 		}
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
 			qsp.End()
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
+			WriteError(w, http.StatusServiceUnavailable, "server is draining")
 			return
 		}
 		select {
@@ -373,7 +394,7 @@ func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
 				id := w.Header().Get(api.HeaderRequestID)
 				s.logf("panic serving %s (request %s): %v\n%s", r.URL.Path, id, p, debug.Stack())
 				if sw, ok := w.(*statusWriter); !ok || sw.code == 0 {
-					writeError(w, http.StatusInternalServerError, "internal error")
+					WriteError(w, http.StatusInternalServerError, "internal error")
 				}
 			}
 		}()
@@ -462,7 +483,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -486,44 +507,50 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // readFrame reads and decodes the request body under the configured
 // bounds; the returned status is the HTTP code to answer on error.
 func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, p api.Params) (*bitmap.Bitmap, int, error) {
+	img, n, status, err := ReadFrame(w, r, p, s.cfg.MaxBodyBytes, s.cfg.Limits)
+	s.reg.addBytesIn(n)
+	if err == nil && testDecodeHook != nil {
+		testDecodeHook(img)
+	}
+	return img, status, err
+}
+
+// ReadFrame reads a request body of at most maxBody bytes and decodes
+// it under limits, in the format p names or — when p leaves it to
+// sniffing — the Content-Type's. It returns the body's size (0 when the
+// read failed) and, on error, the HTTP status to answer. The slapd and
+// slapfront handlers share it.
+func ReadFrame(w http.ResponseWriter, r *http.Request, p api.Params, maxBody int64, limits imageio.Limits) (*bitmap.Bitmap, int64, int, error) {
 	format, err := imageio.ParseFormat(p.Format)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, 0, http.StatusBadRequest, err
 	}
 	if format == imageio.FormatAuto {
 		format = imageio.FormatFromContentType(r.Header.Get("Content-Type"))
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBodyBytes)
+			return nil, 0, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBody)
 		}
-		return nil, http.StatusBadRequest, err
+		return nil, 0, http.StatusBadRequest, err
 	}
-	s.reg.addBytesIn(int64(len(body)))
-	img, err := imageio.DecodeBytes(body, format, s.cfg.Limits)
+	n := int64(len(body))
+	img, err := imageio.DecodeBytes(body, format, limits)
 	if err != nil {
 		if errors.Is(err, imageio.ErrLimit) {
-			return nil, http.StatusRequestEntityTooLarge, err
+			return nil, n, http.StatusRequestEntityTooLarge, err
 		}
-		return nil, http.StatusBadRequest, err
+		return nil, n, http.StatusBadRequest, err
 	}
-	if testDecodeHook != nil {
-		testDecodeHook(img)
-	}
-	return img, 0, nil
+	return img, n, 0, nil
 }
 
 // testDecodeHook, when set by a test, observes every successfully
 // decoded frame — the seam panic-isolation tests use to poison one
 // request without inventing an unparseable-yet-parseable image.
 var testDecodeHook func(*bitmap.Bitmap)
-
-// optionsFor resolves per-request parameters over the base options.
-func (s *Server) optionsFor(p api.Params, imgW, imgH int) (core.Options, error) {
-	return OptionsFromParams(s.cfg.Options, p, imgW, imgH)
-}
 
 // OptionsFromParams resolves wire parameters over base options for an
 // imgW×imgH frame — the one translation every program serving or
@@ -590,27 +617,40 @@ func OptionsFromParams(base core.Options, p api.Params, imgW, imgH int) (core.Op
 	return opt, nil
 }
 
-func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
-	p, err := api.ParamsFromQuery(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+// handleRun serves /v1/label and, with agg, /v1/aggregate: one request
+// path for both, the monoid nil on label requests.
+func (s *Server) handleRun(agg bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p, err := api.ParamsFromQuery(r.URL.Query())
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		var op *core.Monoid
+		if agg {
+			m, err := MonoidByName(p.Op)
+			if err != nil {
+				WriteError(w, http.StatusBadRequest, err.Error())
+				return
+			}
+			op = &m
+		}
+		sp := obs.FromContext(r.Context())
+		dsp := sp.Child("decode")
+		img, status, err := s.readFrame(w, r, p)
+		dsp.EndErr(err)
+		if err != nil {
+			WriteError(w, status, err.Error())
+			return
+		}
+		resp, status, err := s.runOne(r.Context(), img, p, op)
+		if err != nil {
+			WriteError(w, status, err.Error())
+			return
+		}
+		s.reg.addFrames(1)
+		WriteTraced(w, http.StatusOK, resp, sp)
 	}
-	sp := obs.FromContext(r.Context())
-	dsp := sp.Child("decode")
-	img, status, err := s.readFrame(w, r, p)
-	dsp.EndErr(err)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return
-	}
-	resp, status, err := s.labelOne(r.Context(), img, p)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return
-	}
-	s.reg.addFrames(1)
-	writeTraced(w, http.StatusOK, resp, sp)
 }
 
 // statusClientClosedRequest is nginx's conventional code for "the
@@ -619,26 +659,51 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 // distinguish an abandoned request from a bad one.
 const statusClientClosedRequest = 499
 
-// labelOne labels a decoded frame on the pool under per-request
-// params. The request context propagates into the run: a client that
-// hangs up cancels a strip-mined labeling between strips instead of
-// paying for the whole image.
-func (s *Server) labelOne(ctx context.Context, img *bitmap.Bitmap, p api.Params) (*api.LabelResponse, int, error) {
-	opt, err := s.optionsFor(p, img.W(), img.H())
+// runOne answers a decoded frame on the pool under per-request params:
+// the labeling when op is nil (an *api.LabelResponse), the Corollary 4
+// aggregation under *op otherwise (an *api.AggregateResponse). The
+// request context propagates into the run: a client that hangs up
+// cancels a strip-mined run between strips instead of paying for the
+// whole image.
+func (s *Server) runOne(ctx context.Context, img *bitmap.Bitmap, p api.Params, op *core.Monoid) (any, int, error) {
+	opt, err := OptionsFromParams(s.cfg.Options, p, img.W(), img.H())
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	// The "label" span covers the whole engine run — pool wait, strips,
-	// and stitch attach under it via the context.
-	rsp := obs.FromContext(ctx).Child("label")
+	name := "label"
+	var initial []int32
+	if op != nil {
+		name = "aggregate"
+		if initial, err = InitialValues(img, p.Initial, p.InitialOffset); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+	}
+	// The run span covers the whole engine run — pool wait, strips, and
+	// stitch attach under it via the context.
+	rsp := obs.FromContext(ctx).Child(name)
 	annotateEngine(rsp, opt)
 	ctx = obs.ContextWith(ctx, rsp)
 	// A client that didn't ask for labels only needs the summary — let
 	// the engine skip materializing the labeling (the host engine does;
 	// the simulator ignores it). Server-side verification still needs
-	// the labels to check.
-	opt.SkipLabels = !p.WantLabels && !s.cfg.Verify
-	res, err := s.pool.LabelWithCtx(ctx, img, opt)
+	// the labels to check; aggregation runs need them for the folds.
+	opt.SkipLabels = op == nil && !p.WantLabels && !s.cfg.Verify
+	// Materializing the response (summarizing, flattening the label map)
+	// is part of producing the answer — the span closes after it, so the
+	// stage decomposition accounts for the handler's real wall time.
+	var labels *bitmap.LabelMap
+	var out any
+	if op == nil {
+		var res *core.Result
+		if res, err = s.pool.LabelWithCtx(ctx, img, opt); err == nil {
+			labels, out = res.Labels, ToLabelResponse(res, p.WantLabels)
+		}
+	} else {
+		var res *core.AggregateResult
+		if res, err = s.pool.AggregateWithCtx(ctx, img, initial, *op, opt); err == nil {
+			labels, out = res.Labels, ToAggregateResponse(res, op.Name, p.WantLabels)
+		}
+	}
 	if err != nil {
 		rsp.EndErr(err)
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -654,82 +719,27 @@ func (s *Server) labelOne(ctx context.Context, img *bitmap.Bitmap, p api.Params)
 		if conn == 0 {
 			conn = bitmap.Conn4
 		}
-		if err := seqcc.CheckConn(img, res.Labels, conn); err != nil {
+		if err := seqcc.CheckConn(img, labels, conn); err != nil {
 			err = fmt.Errorf("verification failed: %w", err)
 			rsp.EndErr(err)
 			return nil, http.StatusInternalServerError, err
 		}
 	}
-	// Materializing the response (summarizing, flattening the label map)
-	// is part of producing the answer — the span closes after it, so the
-	// stage decomposition accounts for the handler's real wall time.
-	out := ToLabelResponse(res, p.WantLabels)
 	rsp.End()
 	return out, 0, nil
-}
-
-func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	p, err := api.ParamsFromQuery(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	op, err := monoidByName(p.Op)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sp := obs.FromContext(r.Context())
-	dsp := sp.Child("decode")
-	img, status, err := s.readFrame(w, r, p)
-	dsp.EndErr(err)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return
-	}
-	opt, err := s.optionsFor(p, img.W(), img.H())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	initial, err := InitialValues(img, p.Initial, p.InitialOffset)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	rsp := sp.Child("aggregate")
-	annotateEngine(rsp, opt)
-	res, err := s.pool.AggregateWithCtx(obs.ContextWith(r.Context(), rsp), img, initial, op, opt)
-	if err != nil {
-		rsp.EndErr(err)
-		if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, err.Error())
-			return
-		}
-		if r.Context().Err() != nil {
-			writeError(w, statusClientClosedRequest, err.Error())
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp := ToAggregateResponse(res, op.Name, p.WantLabels)
-	rsp.End()
-	s.reg.addFrames(1)
-	writeTraced(w, http.StatusOK, resp, sp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	p, err := api.ParamsFromQuery(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sp := obs.FromContext(r.Context())
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	mr, err := r.MultipartReader()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch requires multipart/form-data: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch requires multipart/form-data: %v", err))
 		return
 	}
 	dsp := sp.Child("decode")
@@ -753,9 +763,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			dsp.EndErr(err)
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
-				writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch body exceeds %d bytes", s.cfg.MaxBodyBytes))
+				WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch body exceeds %d bytes", s.cfg.MaxBodyBytes))
 			} else {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("reading batch part %d: %v", len(items), err))
+				WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading batch part %d: %v", len(items), err))
 			}
 			return
 		}
@@ -763,7 +773,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if idx >= s.cfg.MaxBatchFrames {
 			part.Close()
 			dsp.End()
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds %d frames", s.cfg.MaxBatchFrames))
+			WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds %d frames", s.cfg.MaxBatchFrames))
 			return
 		}
 		img, perr := s.decodePart(part, p)
@@ -786,13 +796,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if fsp != nil {
 				fsp.Annotate("i=" + strconv.Itoa(f.idx))
 			}
-			resp, _, err := s.labelOne(obs.ContextWith(r.Context(), fsp), f.img, p)
+			resp, _, err := s.runOne(obs.ContextWith(r.Context(), fsp), f.img, p, nil)
 			fsp.EndErr(err)
 			if err != nil {
 				items[f.idx].Error = err.Error()
 				return
 			}
-			items[f.idx].Result = resp
+			items[f.idx].Result = resp.(*api.LabelResponse)
 		}(f)
 	}
 	wg.Wait()
@@ -808,7 +818,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.reg.addFrames(labeled)
-	writeTraced(w, http.StatusOK, out, sp)
+	WriteTraced(w, http.StatusOK, out, sp)
 }
 
 // decodePart decodes one multipart frame; the part's Content-Type
@@ -911,10 +921,6 @@ func ToAggregateResponse(res *core.AggregateResult, opName string, wantLabels bo
 // MonoidByName resolves a wire op name to the core monoid ("" = min,
 // the paper's Corollary 4 operator).
 func MonoidByName(name string) (core.Monoid, error) {
-	return monoidByName(name)
-}
-
-func monoidByName(name string) (core.Monoid, error) {
 	switch strings.ToLower(name) {
 	case "", "min":
 		return core.Min(), nil
@@ -928,25 +934,36 @@ func monoidByName(name string) (core.Monoid, error) {
 	return core.Monoid{}, fmt.Errorf("unknown op %q (min, max, sum, or)", name)
 }
 
+// CheckInitial validates a wire initial= kind: "" or "ones" (all ones)
+// and "positions" (column-major positions).
+func CheckInitial(kind string) error {
+	switch strings.ToLower(kind) {
+	case "", "ones", "positions":
+		return nil
+	}
+	return fmt.Errorf("unknown initial %q (ones, positions)", kind)
+}
+
 // InitialValues builds the initial per-pixel aggregation values: all
 // ones, or column-major positions shifted by offset (a strip of a
 // larger image passes its global origin, so per-strip folds match the
 // whole-image run's).
 func InitialValues(img *bitmap.Bitmap, kind string, offset int) ([]int32, error) {
-	switch strings.ToLower(kind) {
-	case "", "ones":
-		return core.Ones(img), nil
-	case "positions":
-		init := make([]int32, img.W()*img.H())
-		for i := range init {
-			init[i] = int32(i + offset)
-		}
-		return init, nil
+	if err := CheckInitial(kind); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown initial %q (ones, positions)", kind)
+	if strings.ToLower(kind) != "positions" {
+		return core.Ones(img), nil
+	}
+	init := make([]int32, img.W()*img.H())
+	for i := range init {
+		init[i] = int32(i + offset)
+	}
+	return init, nil
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as JSON (HTML escaping off).
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -966,14 +983,16 @@ func annotateEngine(sp *obs.Span, opt core.Options) {
 	}
 }
 
-// writeTraced is writeJSON for traced success responses: the body is
-// encoded to a buffer under an "encode" span, then the trace's stage
-// breakdown rides ahead of it in a Server-Timing header (headers must
+// WriteTraced is WriteJSON for traced success responses: the body is
+// encoded to a buffer under an "encode" span, then the trace's span
+// tree — on slapfront, each attempt's grafted backend tree nested
+// inside — rides ahead of it in a Server-Timing header (headers must
 // precede the body, so the encoder cannot stream straight to the
-// wire). The bytes written are identical to writeJSON's.
-func writeTraced(w http.ResponseWriter, code int, v any, sp *obs.Span) {
+// wire). The bytes written are identical to WriteJSON's, which the
+// cluster-vs-local byte-equality tests depend on.
+func WriteTraced(w http.ResponseWriter, code int, v any, sp *obs.Span) {
 	if sp == nil {
-		writeJSON(w, code, v)
+		WriteJSON(w, code, v)
 		return
 	}
 	esp := sp.Child("encode")
@@ -983,7 +1002,7 @@ func writeTraced(w http.ResponseWriter, code int, v any, sp *obs.Span) {
 	err := enc.Encode(v)
 	esp.EndErr(err)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if tr := sp.Trace(); tr != nil {
@@ -996,10 +1015,10 @@ func writeTraced(w http.ResponseWriter, code int, v any, sp *obs.Span) {
 	w.Write(buf.Bytes())
 }
 
-// writeError answers an ErrorResponse; the request ID the admission
-// middleware stamped on the response header (if any) rides along in the
-// payload, so an error seen three tiers up is traceable to one line in
-// this server's log.
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, api.ErrorResponse{Error: msg, RequestID: w.Header().Get(api.HeaderRequestID)})
+// WriteError answers an ErrorResponse; the request ID StartTrace
+// stamped on the response header (if any) rides along in the payload,
+// so an error seen three tiers up is traceable to one line in this
+// server's log.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, api.ErrorResponse{Error: msg, RequestID: w.Header().Get(api.HeaderRequestID)})
 }

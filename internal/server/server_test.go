@@ -194,7 +194,7 @@ func TestAggregateEndpoint(t *testing.T) {
 	// array= strip-mines the aggregation (the PR 4 refusal is gone): the
 	// per-pixel folds and labels must pin against in-process
 	// AggregateLarge, whose values equal the whole-image run's.
-	wantStrip, err := core.AggregateLarge(img, core.Ones(img), core.Sum(), core.Options{ArrayWidth: 2})
+	wantStrip, err := core.Aggregate(img, core.Ones(img), core.Sum(), core.Options{ArrayWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSeamScheduleParams(t *testing.T) {
 		{api.Params{ArrayWidth: 8, Schedule: "pipelined"}, core.Options{ArrayWidth: 8, Schedule: core.SchedulePipelined}},
 		{api.Params{ArrayWidth: 8, Seam: "distributed", Schedule: "sequential"}, core.Options{ArrayWidth: 8}},
 	} {
-		want, err := core.LabelLarge(img, tc.opt)
+		want, err := core.Label(img, tc.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,11 +668,22 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestVerifyMode: Config.Verify cross-checks labels against the ground
-// truth without changing successful responses.
+// truth without changing successful responses — on /v1/aggregate too,
+// whose labeling the Corollary 4 folds are built on.
 func TestVerifyMode(t *testing.T) {
 	s := New(Config{Workers: 1, Verify: true})
 	rec := postImage(t, s, api.PathLabel, bitmap.Random(16, 0.5, 4), imageio.FormatRaw, api.Params{})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%d: %s", rec.Code, rec.Body.String())
+	}
+	img := bitmap.Random(16, 0.5, 5)
+	p := api.Params{Op: "sum", ArrayWidth: 4, WantLabels: true}
+	got := postImage(t, s, api.PathAggregate, img, imageio.FormatRaw, p)
+	if got.Code != http.StatusOK {
+		t.Fatalf("aggregate under verify: %d: %s", got.Code, got.Body.String())
+	}
+	want := postImage(t, New(Config{Workers: 1}), api.PathAggregate, img, imageio.FormatRaw, p)
+	if got.Body.String() != want.Body.String() {
+		t.Fatalf("verify changed the aggregate answer:\n got %s\nwant %s", got.Body.String(), want.Body.String())
 	}
 }

@@ -202,7 +202,7 @@ func LabelWithOptions(img *Bitmap, opt Options) (*Result, error) { return core.L
 // model (strips execute back to back on the one array; the stitch is
 // charged as a "seam-merge" phase). With ArrayWidth 0 it is exactly
 // Label: the array is as wide as the image.
-func LabelLarge(img *Bitmap, opt Options) (*Result, error) { return core.LabelLarge(img, opt) }
+func LabelLarge(img *Bitmap, opt Options) (*Result, error) { return core.Label(img, opt) }
 
 // Aggregate labels every component of img with the op-fold of the
 // initial per-pixel labels over the whole component (the paper's
@@ -228,7 +228,7 @@ func SeamTime(m Metrics) int64 { return core.SeamTime(m) }
 // the selected Options.Seam and Options.Schedule models (see
 // docs/METRICS.md). With ArrayWidth 0 it is exactly Aggregate.
 func AggregateLarge(img *Bitmap, initial []int32, op Monoid, opt Options) (*AggregateResult, error) {
-	return core.AggregateLarge(img, initial, op, opt)
+	return core.Aggregate(img, initial, op, opt)
 }
 
 // MinOf returns the minimum monoid (Corollary 4's operator).

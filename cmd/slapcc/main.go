@@ -186,7 +186,7 @@ func run(args []string) error {
 		}
 	}
 	if *agg != "" {
-		op, err := monoidByName(*agg)
+		op, err := core.MonoidByName(*agg)
 		if err != nil {
 			return err
 		}
@@ -246,20 +246,6 @@ func loadImage(genName, inPath, format string, n int) (*bitmap.Bitmap, error) {
 	default:
 		return nil, fmt.Errorf("need -gen FAMILY or -in FILE (try -list)")
 	}
-}
-
-func monoidByName(name string) (core.Monoid, error) {
-	switch strings.ToLower(name) {
-	case "min":
-		return core.Min(), nil
-	case "max":
-		return core.Max(), nil
-	case "sum":
-		return core.Sum(), nil
-	case "or":
-		return core.Or(), nil
-	}
-	return core.Monoid{}, fmt.Errorf("unknown aggregate op %q (min, max, sum, or)", name)
 }
 
 func initialDesc(op core.Monoid) string {

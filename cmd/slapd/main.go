@@ -17,19 +17,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"slapcc/internal/imageio"
-	"slapcc/internal/obs"
 	"slapcc/internal/server"
 )
 
@@ -47,8 +43,8 @@ func main() {
 // the test hook, and handy for scripts using -addr :0.
 func run(args []string, out io.Writer, signals <-chan os.Signal, ready func(addr string)) error {
 	fs := flag.NewFlagSet("slapd", flag.ContinueOnError)
+	d := server.NewDaemon(fs, ":8117")
 	var (
-		addr      = fs.String("addr", ":8117", "listen address (host:port; :0 picks a free port)")
 		workers   = fs.Int("workers", 0, "labeler pool size (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 0, "admitted requests allowed to wait beyond the workers (0 = 2x workers)")
 		maxW      = fs.Int("maxwidth", 0, "max image width (0 = default)")
@@ -59,20 +55,13 @@ func run(args []string, out io.Writer, signals <-chan os.Signal, ready func(addr
 		retry     = fs.Duration("retryafter", time.Second, "Retry-After hint on 429 responses")
 		verify    = fs.Bool("verify", false, "cross-check every labeling against the sequential reference (conformance mode)")
 		drainWait = fs.Duration("draintimeout", 30*time.Second, "how long shutdown waits for in-flight requests")
-		debugAddr = fs.String("debugaddr", "", "private debug listener for pprof and /debug/requests (e.g. 127.0.0.1:6060; empty disables; keep it off public interfaces)")
 		latTarget = fs.Duration("latencytarget", 0, "adaptive admission latency target (0 disables AIMD limiting)")
-
-		readHeader = fs.Duration("readheadertimeout", 5*time.Second, "time allowed to read a request's headers")
-		readWait   = fs.Duration("readtimeout", 2*time.Minute, "time allowed to read a whole request")
-		writeWait  = fs.Duration("writetimeout", 2*time.Minute, "time allowed to write a response")
-		idleWait   = fs.Duration("idletimeout", 2*time.Minute, "keep-alive idle connection timeout")
-		maxHeader  = fs.Int("maxheaderbytes", 1<<20, "max request header bytes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	cfg := server.Config{
+	srv := server.New(server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		Limits:         imageio.Limits{MaxWidth: *maxW, MaxHeight: *maxH, MaxPixels: *maxPix},
@@ -84,61 +73,7 @@ func run(args []string, out io.Writer, signals <-chan os.Signal, ready func(addr
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(out, "slapd: "+format+"\n", args...)
 		},
-	}
-	srv := server.New(cfg)
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	// The timeouts harden the listener against slow-loris clients: a
-	// connection that trickles its headers or body is cut off instead of
-	// pinning a goroutine and an admission slot forever.
-	hs := &http.Server{
-		Handler:           srv,
-		ReadHeaderTimeout: *readHeader,
-		ReadTimeout:       *readWait,
-		WriteTimeout:      *writeWait,
-		IdleTimeout:       *idleWait,
-		MaxHeaderBytes:    *maxHeader,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			errc <- err
-		}
-	}()
-	fmt.Fprintf(out, "slapd: listening on %s (workers %d, admission %d)\n",
-		ln.Addr(), srv.Workers(), srv.AdmissionCapacity())
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		dhs := &http.Server{Handler: obs.DebugMux(srv.DebugHandler()), ReadHeaderTimeout: *readHeader}
-		defer dhs.Close()
-		go dhs.Serve(dln)
-		fmt.Fprintf(out, "slapd: debug listening on %s\n", dln.Addr())
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	select {
-	case err := <-errc:
-		return err
-	case <-signals:
-	}
-
-	fmt.Fprintln(out, "slapd: draining...")
-	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	fmt.Fprintln(out, "slapd: drained, bye")
-	return nil
+	})
+	about := fmt.Sprintf("workers %d, admission %d", srv.Workers(), srv.AdmissionCapacity())
+	return d.Run(out, signals, ready, srv, srv.DebugHandler(), about, srv.Shutdown, *drainWait)
 }

@@ -18,12 +18,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -32,7 +29,7 @@ import (
 
 	"slapcc/internal/cluster"
 	"slapcc/internal/imageio"
-	"slapcc/internal/obs"
+	"slapcc/internal/server"
 )
 
 func main() {
@@ -49,8 +46,8 @@ func main() {
 // test hook, and handy for scripts using -addr :0.
 func run(args []string, out io.Writer, signals <-chan os.Signal, ready func(addr string)) error {
 	fs := flag.NewFlagSet("slapfront", flag.ContinueOnError)
+	d := server.NewDaemon(fs, ":8118")
 	var (
-		addr        = fs.String("addr", ":8118", "listen address (host:port; :0 picks a free port)")
 		backends    = fs.String("backends", "", "comma-separated slapd base URLs (empty = run everything locally)")
 		jobTimeout  = fs.Duration("jobtimeout", 30*time.Second, "per-strip-job attempt timeout")
 		retries     = fs.Int("retries", 4, "attempt budget per strip job before local fallback")
@@ -67,13 +64,6 @@ func run(args []string, out io.Writer, signals <-chan os.Signal, ready func(addr
 		maxBody     = fs.Int64("maxbody", 0, "max request body bytes (0 = 64 MiB)")
 		hedgeDelay  = fs.Duration("hedgedelay", 50*time.Millisecond, "floor before a straggling strip job is hedged to a second backend (the observed job p95 raises it)")
 		hedgeMax    = fs.Int("hedgemax", 2, "max hedged duplicates per request (0 disables hedging)")
-		debugAddr   = fs.String("debugaddr", "", "private debug listener for pprof and /debug/requests (e.g. 127.0.0.1:6061; empty disables; keep it off public interfaces)")
-
-		readHeader = fs.Duration("readheadertimeout", 5*time.Second, "time allowed to read a request's headers")
-		readWait   = fs.Duration("readtimeout", 2*time.Minute, "time allowed to read a whole request")
-		writeWait  = fs.Duration("writetimeout", 2*time.Minute, "time allowed to write a response")
-		idleWait   = fs.Duration("idletimeout", 2*time.Minute, "keep-alive idle connection timeout")
-		maxHeader  = fs.Int("maxheaderbytes", 1<<20, "max request header bytes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,54 +92,6 @@ func run(args []string, out io.Writer, signals <-chan os.Signal, ready func(addr
 		HedgeMax:         *hedgeMax,
 	})
 	defer co.Close()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	// Slow-loris hardening: clients that trickle headers or bodies are
-	// disconnected instead of holding goroutines open indefinitely.
-	hs := &http.Server{
-		Handler:           co,
-		ReadHeaderTimeout: *readHeader,
-		ReadTimeout:       *readWait,
-		WriteTimeout:      *writeWait,
-		IdleTimeout:       *idleWait,
-		MaxHeaderBytes:    *maxHeader,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			errc <- err
-		}
-	}()
-	fmt.Fprintf(out, "slapfront: listening on %s (%d backends)\n", ln.Addr(), len(urls))
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		dhs := &http.Server{Handler: obs.DebugMux(co.DebugHandler()), ReadHeaderTimeout: *readHeader}
-		defer dhs.Close()
-		go dhs.Serve(dln)
-		fmt.Fprintf(out, "slapfront: debug listening on %s\n", dln.Addr())
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	select {
-	case err := <-errc:
-		return err
-	case <-signals:
-	}
-
-	fmt.Fprintln(out, "slapfront: shutting down...")
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	fmt.Fprintln(out, "slapfront: stopped, bye")
-	return nil
+	about := fmt.Sprintf("%d backends", len(urls))
+	return d.Run(out, signals, ready, co, co.DebugHandler(), about, nil, 30*time.Second)
 }

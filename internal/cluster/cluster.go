@@ -171,8 +171,8 @@ type Coordinator struct {
 	cfg      Config
 	backends []*backend
 	mux      *http.ServeMux
+	tel      *server.Telemetry
 	reg      *registry
-	ring     *obs.Ring
 	pickMu   sync.Mutex
 	stop     chan struct{}
 	stopped  sync.Once
@@ -184,17 +184,17 @@ func New(cfg Config) *Coordinator {
 	co := &Coordinator{
 		cfg:  cfg,
 		mux:  http.NewServeMux(),
+		tel:  server.NewTelemetry("slapfront", cfg.Now),
 		reg:  newRegistry(),
-		ring: obs.NewRing(0, 0, 0),
 		stop: make(chan struct{}),
 	}
 	for _, u := range cfg.Backends {
 		co.backends = append(co.backends, newBackend(strings.TrimRight(u, "/"), cfg.ClientOptions))
 	}
-	co.mux.HandleFunc(api.PathLabel, co.instrument("label", co.handleRun(false)))
-	co.mux.HandleFunc(api.PathAggregate, co.instrument("aggregate", co.handleRun(true)))
-	co.mux.HandleFunc(api.PathHealthz, co.instrument("healthz", co.handleHealthz))
-	co.mux.HandleFunc(api.PathMetrics, co.instrument("metrics", co.handleMetrics))
+	co.mux.HandleFunc(api.PathLabel, co.tel.Instrument("label", co.handleRun(false)))
+	co.mux.HandleFunc(api.PathAggregate, co.tel.Instrument("aggregate", co.handleRun(true)))
+	co.mux.HandleFunc(api.PathHealthz, co.tel.Instrument("healthz", co.handleHealthz))
+	co.mux.HandleFunc(api.PathMetrics, co.tel.Instrument("metrics", co.handleMetrics))
 	co.mux.Handle(server.PathDebugRequests, co.DebugHandler())
 	if cfg.ProbeInterval > 0 && len(co.backends) > 0 {
 		go co.probeLoop()
@@ -210,7 +210,7 @@ func (co *Coordinator) Close() { co.stopped.Do(func() { close(co.stop) }) }
 
 // DebugHandler serves the recent-request trace ring (/debug/requests),
 // for mounting on a private debug listener as well as the main mux.
-func (co *Coordinator) DebugHandler() http.Handler { return co.ring.Handler() }
+func (co *Coordinator) DebugHandler() http.Handler { return co.tel.DebugHandler() }
 
 func (co *Coordinator) probeLoop() {
 	t := time.NewTicker(co.cfg.ProbeInterval)
@@ -279,11 +279,8 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gs = append(gs, backendGauge{name: b.name, state: st, probeOK: probeOK, outstanding: out})
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	co.tel.Render(w)
 	co.reg.render(w, gs)
-}
-
-func (co *Coordinator) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return server.Instrument(name, h, co.cfg.Now, co.reg.observe)
 }
 
 // lifecycle stamps the request's ID on the response header and context
@@ -298,12 +295,8 @@ func (co *Coordinator) instrument(name string, h http.HandlerFunc) http.HandlerF
 // histograms, and files the trace in the /debug/requests ring. Returns
 // ok=false when the request was already answered.
 func (co *Coordinator) lifecycle(w http.ResponseWriter, r *http.Request, name string) (*http.Request, func(), bool) {
-	r, tr := server.StartTrace(w, r, name, co.cfg.Now)
-	done := func() {
-		server.FinishTrace(w, tr)
-		co.reg.observeStages(tr.Stages())
-		co.ring.Observe(tr)
-	}
+	r, tr := co.tel.StartTrace(w, r, name)
+	done := func() { co.tel.FinishTrace(w, tr) }
 	budget, ok := api.ParseDeadline(r.Header.Get(api.HeaderDeadlineMS))
 	if !ok {
 		return r, done, true
@@ -667,13 +660,17 @@ func writeDispatchError(w http.ResponseWriter, err error) {
 	server.WriteError(w, http.StatusBadGateway, err.Error())
 }
 
-// stripRunFromResponse reconstructs a core.StripRun from one strip's
-// wire response. The wire omits Busy/NilRecvs/per-PE profiles and the
-// speculation stats — none of which ever serialize in a composed
-// response — so the composition over reconstructed runs is
-// byte-identical to the local tiler's.
-func stripRunFromResponse(resp *api.AggregateResponse, agg bool) (core.StripRun, error) {
-	sw, h := resp.Width, resp.Height
+// stripRunFromResponse reconstructs a core.StripRun from the wire
+// response to the sw×h strip's job. The dimensions the response claims
+// are checked against the job's before anything is sized by them: a
+// backend's answer is outside input. The wire omits Busy/NilRecvs/
+// per-PE profiles and the speculation stats — none of which ever
+// serialize in a composed response — so the composition over
+// reconstructed runs is byte-identical to the local tiler's.
+func stripRunFromResponse(resp *api.AggregateResponse, sw, h int, agg bool) (core.StripRun, error) {
+	if resp.Width != sw || resp.Height != h {
+		return core.StripRun{}, fmt.Errorf("cluster: strip response is %dx%d, want %dx%d", resp.Width, resp.Height, sw, h)
+	}
 	if len(resp.Labels) != sw*h {
 		return core.StripRun{}, fmt.Errorf("cluster: strip response has %d labels, want %d", len(resp.Labels), sw*h)
 	}
@@ -837,7 +834,7 @@ func (co *Coordinator) handleRun(agg bool) http.HandlerFunc {
 			return
 		}
 		if agg {
-			op, err := server.MonoidByName(rq.p.Op)
+			op, err := core.MonoidByName(rq.p.Op)
 			if err == nil {
 				err = server.CheckInitial(rq.p.Initial)
 			}
@@ -992,7 +989,7 @@ func (co *Coordinator) stripJob(ctx context.Context, rq *request, j job, h int) 
 			return core.StripRun{}, err
 		}
 	}
-	return stripRunFromResponse(resp, rq.op != nil)
+	return stripRunFromResponse(resp, j.sw, h, rq.op != nil)
 }
 
 // wholeImage routes an un-strip-mined request as a single job,

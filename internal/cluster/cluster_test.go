@@ -317,6 +317,39 @@ func TestClusterRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsMalformedStripAnswer: a backend whose strip answer
+// claims dimensions other than the strip's — negative, or so large that
+// their product overflows to the label count — is answered 502 instead
+// of reaching an allocation sized by the backend, and the front keeps
+// serving.
+func TestClusterRejectsMalformedStripAnswer(t *testing.T) {
+	for _, body := range []string{
+		`{"width":-1,"height":-1,"labels":[0]}`,
+		// 7 × 7905747460161236407 ≡ 1 (mod 2⁶⁴).
+		`{"width":7,"height":7905747460161236407,"labels":[0]}`,
+	} {
+		hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(hostile.Close)
+		_, front := newFront(t, []string{hostile.URL}, nil)
+		img := bitmap.Random(8, 0.5, 3)
+		code, resp := post(t, front.URL, api.PathLabel, api.Params{ArrayWidth: 4, WantLabels: true}, img)
+		if code != http.StatusBadGateway {
+			t.Fatalf("answer %s: status %d, want 502 (body %s)", body, code, resp)
+		}
+		hresp, err := http.Get(front.URL + api.PathHealthz)
+		if err != nil {
+			t.Fatalf("front stopped serving after answer %s: %v", body, err)
+		}
+		hresp.Body.Close()
+		if hresp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz after answer %s: %d", body, hresp.StatusCode)
+		}
+	}
+}
+
 // TestClusterCancelledRequest: a client that hangs up mid-request (the
 // only backend hangs forever) aborts the fan-out; the coordinator
 // records the request as 499, not as a success or a 5xx.

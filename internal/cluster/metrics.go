@@ -7,19 +7,16 @@ import (
 	"sync"
 	"time"
 
-	"slapcc/internal/obs"
+	"slapcc/internal/server"
 )
 
-// registry is slapfront's metrics store, the same dependency-free
-// Prometheus text idiom as slapd's: per-endpoint request counters,
-// per-backend job outcomes, and the robustness counters that tell the
+// registry is the rest of slapfront's metrics, rendered after the
+// request telemetry it shares with slapd (server.Telemetry):
+// per-backend job outcomes, the robustness counters that tell the
 // failure story — retries, re-routed strips, local fallbacks, breaker
-// openings.
+// openings, hedges — and the backend gauges.
 type registry struct {
 	mu        sync.Mutex
-	requests  map[reqKey]int64
-	lat       map[string]*obs.Histogram // request wall time by endpoint
-	stage     map[string]*obs.Histogram // stage wall time by trace span name
 	jobs      map[jobKey]int64
 	retries   int64
 	fallbacks int64
@@ -36,49 +33,13 @@ type registry struct {
 
 const latRingSize = 128
 
-type reqKey struct {
-	endpoint string
-	code     int
-}
-
 type jobKey struct {
 	backend string
 	outcome string // ok | error | busy
 }
 
 func newRegistry() *registry {
-	return &registry{
-		requests: make(map[reqKey]int64),
-		lat:      make(map[string]*obs.Histogram),
-		stage:    make(map[string]*obs.Histogram),
-		jobs:     make(map[jobKey]int64),
-	}
-}
-
-func (g *registry) observe(endpoint string, code int, dur time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.requests[reqKey{endpoint, code}]++
-	h := g.lat[endpoint]
-	if h == nil {
-		h = obs.NewHistogram(nil)
-		g.lat[endpoint] = h
-	}
-	h.Observe(dur.Seconds())
-}
-
-// observeStages records a finished trace's top-level stage durations.
-func (g *registry) observeStages(stages []obs.Stage) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, st := range stages {
-		h := g.stage[st.Name]
-		if h == nil {
-			h = obs.NewHistogram(nil)
-			g.stage[st.Name] = h
-		}
-		h.Observe(st.Dur.Seconds())
-	}
+	return &registry{jobs: make(map[jobKey]int64)}
 }
 
 func (g *registry) addJob(backend, outcome string) {
@@ -134,49 +95,7 @@ func (g *registry) render(w io.Writer, backends []backendGauge) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP slapfront_requests_total HTTP requests completed, by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE slapfront_requests_total counter")
-	rkeys := make([]reqKey, 0, len(g.requests))
-	for k := range g.requests {
-		rkeys = append(rkeys, k)
-	}
-	sort.Slice(rkeys, func(i, j int) bool {
-		if rkeys[i].endpoint != rkeys[j].endpoint {
-			return rkeys[i].endpoint < rkeys[j].endpoint
-		}
-		return rkeys[i].code < rkeys[j].code
-	})
-	for _, k := range rkeys {
-		fmt.Fprintf(w, "slapfront_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, g.requests[k])
-	}
-
-	// Request and stage latencies render as cumulative-bucket histograms;
-	// the _count/_sum series keep the names the old summary exposed, so
-	// dashboards built on them survive the conversion.
-	fmt.Fprintln(w, "# HELP slapfront_request_seconds Wall time of completed requests, by endpoint.")
-	fmt.Fprintln(w, "# TYPE slapfront_request_seconds histogram")
-	eps := make([]string, 0, len(g.lat))
-	for ep := range g.lat {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	for _, ep := range eps {
-		g.lat[ep].WriteProm(w, "slapfront_request_seconds", fmt.Sprintf("endpoint=%q", ep))
-	}
-
-	fmt.Fprintln(w, "# HELP slapfront_stage_seconds Wall time of request stages (top-level trace spans), by stage.")
-	fmt.Fprintln(w, "# TYPE slapfront_stage_seconds histogram")
-	sts := make([]string, 0, len(g.stage))
-	for st := range g.stage {
-		sts = append(sts, st)
-	}
-	sort.Strings(sts)
-	for _, st := range sts {
-		g.stage[st].WriteProm(w, "slapfront_stage_seconds", fmt.Sprintf("stage=%q", st))
-	}
-
-	fmt.Fprintln(w, "# HELP slapfront_jobs_total Strip jobs dispatched to backends, by outcome.")
-	fmt.Fprintln(w, "# TYPE slapfront_jobs_total counter")
+	server.WriteFamily(w, "slapfront_jobs_total", "counter", "Strip jobs dispatched to backends, by outcome.")
 	jkeys := make([]jobKey, 0, len(g.jobs))
 	for k := range g.jobs {
 		jkeys = append(jkeys, k)
@@ -191,24 +110,13 @@ func (g *registry) render(w io.Writer, backends []backendGauge) {
 		fmt.Fprintf(w, "slapfront_jobs_total{backend=%q,outcome=%q} %d\n", k.backend, k.outcome, g.jobs[k])
 	}
 
-	fmt.Fprintln(w, "# HELP slapfront_job_retries_total Job attempts re-routed after a failure or busy signal.")
-	fmt.Fprintln(w, "# TYPE slapfront_job_retries_total counter")
-	fmt.Fprintf(w, "slapfront_job_retries_total %d\n", g.retries)
-	fmt.Fprintln(w, "# HELP slapfront_local_fallbacks_total Jobs executed locally because no backend would take them.")
-	fmt.Fprintln(w, "# TYPE slapfront_local_fallbacks_total counter")
-	fmt.Fprintf(w, "slapfront_local_fallbacks_total %d\n", g.fallbacks)
-	fmt.Fprintln(w, "# HELP slapfront_breaker_opened_total Circuit breaker open transitions.")
-	fmt.Fprintln(w, "# TYPE slapfront_breaker_opened_total counter")
-	fmt.Fprintf(w, "slapfront_breaker_opened_total %d\n", g.opened)
-	fmt.Fprintln(w, "# HELP slapfront_hedges_total Duplicate strip jobs issued for straggling attempts.")
-	fmt.Fprintln(w, "# TYPE slapfront_hedges_total counter")
-	fmt.Fprintf(w, "slapfront_hedges_total %d\n", g.hedges)
-	fmt.Fprintln(w, "# HELP slapfront_hedge_wins_total Hedged duplicates that answered before the primary.")
-	fmt.Fprintln(w, "# TYPE slapfront_hedge_wins_total counter")
-	fmt.Fprintf(w, "slapfront_hedge_wins_total %d\n", g.hedgeWins)
+	server.WriteScalar(w, "slapfront_job_retries_total", "counter", "Job attempts re-routed after a failure or busy signal.", g.retries)
+	server.WriteScalar(w, "slapfront_local_fallbacks_total", "counter", "Jobs executed locally because no backend would take them.", g.fallbacks)
+	server.WriteScalar(w, "slapfront_breaker_opened_total", "counter", "Circuit breaker open transitions.", g.opened)
+	server.WriteScalar(w, "slapfront_hedges_total", "counter", "Duplicate strip jobs issued for straggling attempts.", g.hedges)
+	server.WriteScalar(w, "slapfront_hedge_wins_total", "counter", "Hedged duplicates that answered before the primary.", g.hedgeWins)
 
-	fmt.Fprintln(w, "# HELP slapfront_backend_up 1 while the backend is routable (breaker closed and last probe healthy).")
-	fmt.Fprintln(w, "# TYPE slapfront_backend_up gauge")
+	server.WriteFamily(w, "slapfront_backend_up", "gauge", "1 while the backend is routable (breaker closed and last probe healthy).")
 	for _, b := range backends {
 		up := 0
 		if b.state == breakerClosed && b.probeOK {
@@ -216,8 +124,7 @@ func (g *registry) render(w io.Writer, backends []backendGauge) {
 		}
 		fmt.Fprintf(w, "slapfront_backend_up{backend=%q} %d\n", b.name, up)
 	}
-	fmt.Fprintln(w, "# HELP slapfront_backend_breaker_state Breaker state: 0 closed, 1 half-open, 2 open.")
-	fmt.Fprintln(w, "# TYPE slapfront_backend_breaker_state gauge")
+	server.WriteFamily(w, "slapfront_backend_breaker_state", "gauge", "Breaker state: 0 closed, 1 half-open, 2 open.")
 	for _, b := range backends {
 		v := 0
 		switch b.state {
@@ -228,8 +135,7 @@ func (g *registry) render(w io.Writer, backends []backendGauge) {
 		}
 		fmt.Fprintf(w, "slapfront_backend_breaker_state{backend=%q} %d\n", b.name, v)
 	}
-	fmt.Fprintln(w, "# HELP slapfront_backend_outstanding Jobs in flight per backend.")
-	fmt.Fprintln(w, "# TYPE slapfront_backend_outstanding gauge")
+	server.WriteFamily(w, "slapfront_backend_outstanding", "gauge", "Jobs in flight per backend.")
 	for _, b := range backends {
 		fmt.Fprintf(w, "slapfront_backend_outstanding{backend=%q} %d\n", b.name, b.outstanding)
 	}

@@ -42,7 +42,7 @@ func ringTraces(t *testing.T, co *Coordinator, name string, want int) []obs.Trac
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var got []obs.TraceSnapshot
-		for _, tr := range co.ring.Snapshot().Recent {
+		for _, tr := range debugRing(t, co.DebugHandler()).Recent {
 			if tr.Name == name {
 				got = append(got, tr)
 			}
@@ -133,16 +133,14 @@ func mustJSON(v any) string {
 	return string(b)
 }
 
-// debugRing fetches a daemon's /debug/requests ring as JSON.
-func debugRing(t *testing.T, base string) obs.RingSnapshot {
+// debugRing reads a daemon's /debug/requests ring as JSON through its
+// debug handler.
+func debugRing(t *testing.T, h http.Handler) obs.RingSnapshot {
 	t.Helper()
-	resp, err := http.Get(base + server.PathDebugRequests + "?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, server.PathDebugRequests+"?format=json", nil))
 	var snap obs.RingSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
 	return snap
@@ -258,7 +256,7 @@ func TestTraceStageCoverage(t *testing.T) {
 	var traces []obs.TraceSnapshot
 	for {
 		traces = traces[:0]
-		for _, tr := range debugRing(t, b.URL).Recent {
+		for _, tr := range debugRing(t, backend.DebugHandler()).Recent {
 			if tr.Name == "label" {
 				traces = append(traces, tr)
 			}
@@ -355,9 +353,9 @@ func TestSpanNameInventoryDocumented(t *testing.T) {
 				walkSpans(tr.Root, nil, func(sp, _ *obs.SpanSnapshot) { names[sp.Name] = true })
 			}
 		}
-		collect(co.ring.Snapshot().Recent)
-		collect(coLocal.ring.Snapshot().Recent)
-		collect(debugRing(t, b.URL).Recent)
+		collect(debugRing(t, co.DebugHandler()).Recent)
+		collect(debugRing(t, coLocal.DebugHandler()).Recent)
+		collect(debugRing(t, b.Config.Handler).Recent)
 		missing := false
 		for _, m := range must {
 			if !names[m] {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	mbits "math/bits"
+	"strings"
 
 	"slapcc/internal/bitmap"
 	"slapcc/internal/slap"
@@ -57,6 +58,23 @@ func Sum() Monoid {
 // masks over components.
 func Or() Monoid {
 	return Monoid{Name: "or", Identity: 0, Combine: func(a, b int32) int32 { return a | b }}
+}
+
+// MonoidByName resolves an op name — the wire's op= and the CLI's -agg
+// — to its monoid, case-insensitively ("" = min, the paper's Corollary 4
+// operator).
+func MonoidByName(name string) (Monoid, error) {
+	switch strings.ToLower(name) {
+	case "", "min":
+		return Min(), nil
+	case "max":
+		return Max(), nil
+	case "sum":
+		return Sum(), nil
+	case "or":
+		return Or(), nil
+	}
+	return Monoid{}, fmt.Errorf("unknown op %q (min, max, sum, or)", name)
 }
 
 // Ones returns an all-ones initial labeling of img (so Aggregate with

@@ -222,6 +222,38 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// validate checks options (after withDefaults) for a w×h run: one set
+// of checks, with one error text each, whichever entry point — the
+// simulator, the host engine, the strip-mined tiler, or ComposeStrips —
+// would answer it. Entry points call it before touching any arena.
+func (o Options) validate(w, h int) error {
+	if err := o.Cost.Validate(); err != nil {
+		return err
+	}
+	if !unionfind.Valid(o.UF) {
+		return fmt.Errorf("core: unknown union-find kind %q", o.UF)
+	}
+	if !o.Connectivity.Valid() {
+		return fmt.Errorf("core: invalid connectivity %d", o.Connectivity)
+	}
+	if 2*int64(w)*int64(h) > math.MaxInt32 {
+		return fmt.Errorf("core: image %dx%d exceeds the int32 label space", w, h)
+	}
+	if o.ArrayWidth < 0 || o.StripWorkers < 0 {
+		return fmt.Errorf("core: negative tiling options (ArrayWidth %d, StripWorkers %d)", o.ArrayWidth, o.StripWorkers)
+	}
+	if !o.Seam.Valid() {
+		return fmt.Errorf("core: unknown seam model %q (want %q or %q)", o.Seam, SeamDistributed, SeamHost)
+	}
+	if !o.Schedule.Valid() {
+		return fmt.Errorf("core: unknown schedule model %q (want %q or %q)", o.Schedule, ScheduleSequential, SchedulePipelined)
+	}
+	if !o.Engine.Valid() {
+		return fmt.Errorf("core: unknown engine %q (want %q or %q)", o.Engine, EngineSim, EngineHost)
+	}
+	return nil
+}
+
 // UFReport aggregates union–find behavior over all PEs of both passes.
 type UFReport struct {
 	Kind       unionfind.Kind
@@ -423,18 +455,9 @@ func Label(img *bitmap.Bitmap, opt Options) (*Result, error) {
 // for extensions like Aggregate.
 func (lb *Labeler) runCC(img bitmap.Image) (*bitmap.LabelMap, error) {
 	opt := lb.userOpt.withDefaults()
-	if err := opt.Cost.Validate(); err != nil {
-		return nil, err
-	}
-	if !unionfind.Valid(opt.UF) {
-		return nil, fmt.Errorf("core: unknown union-find kind %q", opt.UF)
-	}
-	if !opt.Connectivity.Valid() {
-		return nil, fmt.Errorf("core: invalid connectivity %d", opt.Connectivity)
-	}
 	w, h := img.W(), img.H()
-	if w > 0 && h > 0 && 2*int64(w)*int64(h) > math.MaxInt32 {
-		return nil, fmt.Errorf("core: image %dx%d exceeds the int32 label space", w, h)
+	if err := opt.validate(w, h); err != nil {
+		return nil, err
 	}
 	lb.opt = opt
 	lb.img, lb.w, lb.h = img, w, h
@@ -448,18 +471,6 @@ func (lb *Labeler) runCC(img bitmap.Image) (*bitmap.LabelMap, error) {
 	}
 	if opt.Profile {
 		lb.m.EnableProfile()
-	}
-	if opt.ArrayWidth < 0 || opt.StripWorkers < 0 {
-		return nil, fmt.Errorf("core: negative tiling options (ArrayWidth %d, StripWorkers %d)", opt.ArrayWidth, opt.StripWorkers)
-	}
-	if !opt.Seam.Valid() {
-		return nil, fmt.Errorf("core: unknown seam model %q (want %q or %q)", opt.Seam, SeamDistributed, SeamHost)
-	}
-	if !opt.Schedule.Valid() {
-		return nil, fmt.Errorf("core: unknown schedule model %q (want %q or %q)", opt.Schedule, ScheduleSequential, SchedulePipelined)
-	}
-	if !opt.Engine.Valid() {
-		return nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", opt.Engine, EngineSim, EngineHost)
 	}
 	if opt.noFuse {
 		lb.m.DisableFusion()

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"slapcc/internal/bitmap"
 	"slapcc/internal/hostcc"
 	"slapcc/internal/unionfind"
@@ -53,34 +50,6 @@ func hostReport(st hostcc.Stats) UFReport {
 	return UFReport{Kind: HostUFKind, Finds: st.Finds, Unions: st.Unions}
 }
 
-// checkHostRun validates the option surface for a host-engine run with
-// the same checks (and error text) the simulator's runCC applies, so a
-// bad configuration fails identically whichever engine would have run.
-func checkHostRun(opt Options, w, h int) error {
-	if err := opt.Cost.Validate(); err != nil {
-		return err
-	}
-	if !unionfind.Valid(opt.UF) {
-		return fmt.Errorf("core: unknown union-find kind %q", opt.UF)
-	}
-	if !opt.Connectivity.Valid() {
-		return fmt.Errorf("core: invalid connectivity %d", opt.Connectivity)
-	}
-	if w > 0 && h > 0 && 2*int64(w)*int64(h) > math.MaxInt32 {
-		return fmt.Errorf("core: image %dx%d exceeds the int32 label space", w, h)
-	}
-	if opt.ArrayWidth < 0 || opt.StripWorkers < 0 {
-		return fmt.Errorf("core: negative tiling options (ArrayWidth %d, StripWorkers %d)", opt.ArrayWidth, opt.StripWorkers)
-	}
-	if !opt.Seam.Valid() {
-		return fmt.Errorf("core: unknown seam model %q (want %q or %q)", opt.Seam, SeamDistributed, SeamHost)
-	}
-	if !opt.Schedule.Valid() {
-		return fmt.Errorf("core: unknown schedule model %q (want %q or %q)", opt.Schedule, ScheduleSequential, SchedulePipelined)
-	}
-	return nil
-}
-
 // hostLabeler returns the labeler's lazily built host-engine arena set,
 // so LabelerPool / sync.Pool reuse warms the host path exactly like the
 // simulator's.
@@ -98,7 +67,7 @@ func (lb *Labeler) hostLabeler() *hostcc.Labeler {
 // array) at a fraction of the cost.
 func (lb *Labeler) labelHost(img *bitmap.Bitmap) (*Result, error) {
 	opt := lb.userOpt.withDefaults()
-	if err := checkHostRun(opt, img.W(), img.H()); err != nil {
+	if err := opt.validate(img.W(), img.H()); err != nil {
 		return nil, err
 	}
 	if err := cancelCheck(lb.ctx); err != nil {
@@ -123,7 +92,7 @@ func hostSummary(st hostcc.Stats, img *bitmap.Bitmap) *Summary {
 // validated initial and op.
 func (lb *Labeler) aggregateHost(img *bitmap.Bitmap, initial []int32, op Monoid) (*AggregateResult, error) {
 	opt := lb.userOpt.withDefaults()
-	if err := checkHostRun(opt, img.W(), img.H()); err != nil {
+	if err := opt.validate(img.W(), img.H()); err != nil {
 		return nil, err
 	}
 	if err := cancelCheck(lb.ctx); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 
@@ -150,20 +149,8 @@ func composeChecked(img *bitmap.Bitmap, runs []StripRun, op *Monoid, opt Options
 // spans the width implies.
 func checkCompose(img *bitmap.Bitmap, runs []StripRun, opt Options, agg bool) error {
 	w, h := img.W(), img.H()
-	if err := checkTiling(w, h, opt); err != nil {
+	if err := opt.validate(w, h); err != nil {
 		return err
-	}
-	if err := opt.Cost.Validate(); err != nil {
-		return err
-	}
-	if !opt.Seam.Valid() {
-		return fmt.Errorf("core: unknown seam model %q (want %q or %q)", opt.Seam, SeamDistributed, SeamHost)
-	}
-	if !opt.Schedule.Valid() {
-		return fmt.Errorf("core: unknown schedule model %q (want %q or %q)", opt.Schedule, ScheduleSequential, SchedulePipelined)
-	}
-	if !opt.Engine.Valid() {
-		return fmt.Errorf("core: unknown engine %q (want %q or %q)", opt.Engine, EngineSim, EngineHost)
 	}
 	aw := opt.ArrayWidth
 	if aw <= 0 || aw >= w {
@@ -220,17 +207,6 @@ func stripSpan(w, aw, s int) (x0, sw int) {
 		sw = w - x0
 	}
 	return x0, sw
-}
-
-// checkTiling validates the strip-mined entry preconditions.
-func checkTiling(w, h int, opt Options) error {
-	if 2*int64(w)*int64(h) > math.MaxInt32 {
-		return fmt.Errorf("core: image %dx%d exceeds the int32 label space", w, h)
-	}
-	if opt.StripWorkers < 0 {
-		return fmt.Errorf("core: negative tiling options (ArrayWidth %d, StripWorkers %d)", opt.ArrayWidth, opt.StripWorkers)
-	}
-	return nil
 }
 
 // mergeStrip folds one strip's metrics into the composed report under
@@ -309,7 +285,7 @@ func stripTraceSpan(ctx context.Context, s int) *obs.Span {
 func (lb *Labeler) runLarge(img *bitmap.Bitmap, initial []int32, op *Monoid) (*Result, []int32, error) {
 	opt := lb.userOpt.withDefaults()
 	w, h := img.W(), img.H()
-	if err := checkTiling(w, h, opt); err != nil {
+	if err := opt.validate(w, h); err != nil {
 		return nil, nil, err
 	}
 	aw := opt.ArrayWidth

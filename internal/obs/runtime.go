@@ -45,9 +45,8 @@ func cpuModel() string {
 	return ""
 }
 
-// GCSnapshot is a point-in-time view of the collector, cheap enough to
-// bracket a benchmark scenario with: Delta of two snapshots is the GC
-// activity the scenario induced.
+// GCSnapshot is a point-in-time view of the collector, as
+// /debug/runtime serves it.
 type GCSnapshot struct {
 	NumGC        uint32        `json:"num_gc"`
 	PauseTotal   time.Duration `json:"pause_total_ns"`
@@ -64,17 +63,6 @@ func ReadGC() GCSnapshot {
 		PauseTotal:   time.Duration(ms.PauseTotalNs),
 		HeapAllocMB:  float64(ms.HeapAlloc) / 1e6,
 		TotalAllocMB: float64(ms.TotalAlloc) / 1e6,
-	}
-}
-
-// Delta returns the GC activity between prev and s (counters and
-// cumulative allocation; HeapAllocMB is carried from s, a gauge).
-func (s GCSnapshot) Delta(prev GCSnapshot) GCSnapshot {
-	return GCSnapshot{
-		NumGC:        s.NumGC - prev.NumGC,
-		PauseTotal:   s.PauseTotal - prev.PauseTotal,
-		HeapAllocMB:  s.HeapAllocMB,
-		TotalAllocMB: s.TotalAllocMB - prev.TotalAllocMB,
 	}
 }
 

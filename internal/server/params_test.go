@@ -150,7 +150,7 @@ func TestHostCostEndToEnd(t *testing.T) {
 // FuzzOptionsFromParams drives the query-parameter trust boundary that
 // every /v1/label and /v1/aggregate request crosses before any work: a
 // raw query string through api.ParamsFromQuery, OptionsFromParams over
-// a bounded frame, MonoidByName and CheckInitial. Nothing may panic,
+// a bounded frame, core.MonoidByName and CheckInitial. Nothing may panic,
 // and params the parser accepts must round-trip through Params.Query.
 func FuzzOptionsFromParams(f *testing.F) {
 	for _, seed := range []struct {
@@ -184,7 +184,7 @@ func FuzzOptionsFromParams(f *testing.F) {
 		}
 		// Rejections are answers (400s); only a panic fails.
 		OptionsFromParams(core.Options{}, p, int(w), int(h))
-		MonoidByName(p.Op)
+		core.MonoidByName(p.Op)
 		CheckInitial(p.Initial)
 	})
 }

@@ -114,8 +114,8 @@ type Server struct {
 	cfg  Config
 	pool *core.LabelerPool
 	mux  *http.ServeMux
+	tel  *Telemetry
 	reg  *registry
-	ring *obs.Ring
 
 	// Admission: sem holds one token per admitted request; inflight
 	// counts them for the drain and the gauge. mu serializes admission
@@ -141,24 +141,24 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		pool:  core.NewLabelerPool(cfg.Options, cfg.Workers),
 		mux:   http.NewServeMux(),
-		reg:   newRegistry(),
-		ring:  obs.NewRing(0, 0, 0),
+		tel:   NewTelemetry("slapd", cfg.Now),
+		reg:   &registry{},
 		sem:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		limit: float64(cfg.Workers + cfg.QueueDepth),
 	}
 	s.idle.L = &s.mu
-	s.mux.HandleFunc(api.PathLabel, s.instrument("label", s.admitted("label", s.recovered(s.handleRun(false)))))
-	s.mux.HandleFunc(api.PathAggregate, s.instrument("aggregate", s.admitted("aggregate", s.recovered(s.handleRun(true)))))
-	s.mux.HandleFunc(api.PathBatch, s.instrument("batch", s.admitted("batch", s.recovered(s.handleBatch))))
-	s.mux.HandleFunc(api.PathHealthz, s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc(api.PathMetrics, s.instrument("metrics", s.handleMetrics))
+	s.mux.HandleFunc(api.PathLabel, s.tel.Instrument("label", s.admitted("label", s.recovered(s.handleRun(false)))))
+	s.mux.HandleFunc(api.PathAggregate, s.tel.Instrument("aggregate", s.admitted("aggregate", s.recovered(s.handleRun(true)))))
+	s.mux.HandleFunc(api.PathBatch, s.tel.Instrument("batch", s.admitted("batch", s.recovered(s.handleBatch))))
+	s.mux.HandleFunc(api.PathHealthz, s.tel.Instrument("healthz", s.handleHealthz))
+	s.mux.HandleFunc(api.PathMetrics, s.tel.Instrument("metrics", s.handleMetrics))
 	s.mux.Handle(PathDebugRequests, s.DebugHandler())
 	return s
 }
 
 // DebugHandler serves the trace ring — mounted on the main mux at
 // PathDebugRequests and remountable on a separate -debugaddr listener.
-func (s *Server) DebugHandler() http.Handler { return s.ring.Handler() }
+func (s *Server) DebugHandler() http.Handler { return s.tel.DebugHandler() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -210,79 +210,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// statusWriter captures the response code for instrumentation.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// instrument wraps a handler with per-endpoint request and latency
-// accounting.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return Instrument(name, h, s.cfg.Now, s.reg.observe)
-}
-
-// Instrument wraps h with per-endpoint accounting: observe receives the
-// endpoint name, the response status (200 when h wrote none) and the
-// wall time on now's clock. The slapd and slapfront muxes share it.
-func Instrument(name string, h http.HandlerFunc, now func() time.Time, observe func(name string, code int, d time.Duration)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := now()
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		if sw.code == 0 {
-			sw.code = http.StatusOK
-		}
-		observe(name, sw.code, now().Sub(start))
-	}
-}
-
-// StartTrace stamps the request's ID — the caller's X-Slap-Request-Id,
-// or a fresh one — on the response header before anything can fail, so
-// WriteError (and panic recovery) echo it from any depth, and on the
-// context, so downstream calls carry it. It opens the request's trace,
-// named name on now's clock, whose root span rides the returned
-// request's context. Callers end it with FinishTrace.
-func StartTrace(w http.ResponseWriter, r *http.Request, name string, now func() time.Time) (*http.Request, *obs.Trace) {
-	id := r.Header.Get(api.HeaderRequestID)
-	if id == "" {
-		id = api.NewRequestID()
-	}
-	w.Header().Set(api.HeaderRequestID, id)
-	tr := obs.New(id, name, now)
-	ctx := obs.ContextWith(api.ContextWithRequestID(r.Context(), id), tr.Root())
-	return r.WithContext(ctx), tr
-}
-
-// FinishTrace settles a StartTrace trace from the status recorded on w
-// (an Instrument-wrapped writer): 499 marks the root cancelled, any
-// other error status failed. Then it finishes the trace, ready for the
-// stage histograms and the /debug/requests ring.
-func FinishTrace(w http.ResponseWriter, tr *obs.Trace) {
-	if sw, ok := w.(*statusWriter); ok && sw.code >= http.StatusBadRequest {
-		if sw.code == statusClientClosedRequest {
-			tr.Root().Cancel()
-		} else {
-			tr.Root().Fail(fmt.Sprintf("http %d", sw.code))
-		}
-	}
-	tr.Finish()
-}
-
 // admitted wraps a labeling handler with method filtering, request-ID
 // assignment, the request trace, deadline-budget screening, drain
 // refusal, and the bounded admission queue: when Workers+QueueDepth
@@ -300,12 +227,8 @@ func (s *Server) admitted(name string, h http.HandlerFunc) http.HandlerFunc {
 		// span the handler has opened. Every exit — shed, refused, failed,
 		// answered — finalizes into the stage histograms and the
 		// /debug/requests ring.
-		r, tr := StartTrace(w, r, name, s.cfg.Now)
-		defer func() {
-			FinishTrace(w, tr)
-			s.reg.observeStages(tr.Stages())
-			s.ring.Observe(tr)
-		}()
+		r, tr := s.tel.StartTrace(w, r, name)
+		defer s.tel.FinishTrace(w, tr)
 
 		// Deadline budget: a spent budget — or one the current queue
 		// cannot plausibly meet — fails fast with 504 before touching the
@@ -501,6 +424,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gv.queueDep = 0
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.tel.Render(w)
 	s.reg.render(w, gv)
 }
 
@@ -628,7 +552,7 @@ func (s *Server) handleRun(agg bool) http.HandlerFunc {
 		}
 		var op *core.Monoid
 		if agg {
-			m, err := MonoidByName(p.Op)
+			m, err := core.MonoidByName(p.Op)
 			if err != nil {
 				WriteError(w, http.StatusBadRequest, err.Error())
 				return
@@ -916,22 +840,6 @@ func ToAggregateResponse(res *core.AggregateResult, opName string, wantLabels bo
 		resp.PerPixel = res.PerPixel
 	}
 	return resp
-}
-
-// MonoidByName resolves a wire op name to the core monoid ("" = min,
-// the paper's Corollary 4 operator).
-func MonoidByName(name string) (core.Monoid, error) {
-	switch strings.ToLower(name) {
-	case "", "min":
-		return core.Min(), nil
-	case "max":
-		return core.Max(), nil
-	case "sum":
-		return core.Sum(), nil
-	case "or":
-		return core.Or(), nil
-	}
-	return core.Monoid{}, fmt.Errorf("unknown op %q (min, max, sum, or)", name)
 }
 
 // CheckInitial validates a wire initial= kind: "" or "ones" (all ones)

@@ -93,7 +93,7 @@ func BenchmarkE5IdleCompression(b *testing.B) {
 func BenchmarkE6Aggregate(b *testing.B) {
 	img := bitmap.Random(benchN, 0.5, 1)
 	b.ReportAllocs()
-	var last *core.AggregateResult
+	var last *core.Result
 	for i := 0; i < b.N; i++ {
 		res, err := core.Aggregate(img, core.Ones(img), core.Sum(), core.Options{})
 		if err != nil {
@@ -368,7 +368,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			b.SetBytes(int64(n * n))
 			for i := 0; i < b.N; i++ {
 				ctx, tr := ctxFor()
-				if _, err := pool.LabelWithCtx(ctx, img, opt); err != nil {
+				if _, err := pool.RunWith(ctx, img, nil, nil, opt); err != nil {
 					b.Fatal(err)
 				}
 				if tr != nil {

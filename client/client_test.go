@@ -86,11 +86,11 @@ func TestClientAggregateAndBatch(t *testing.T) {
 	}
 
 	// Strip-mined aggregation (array=, formerly refused): per-pixel
-	// folds pin against in-process AggregateLarge — and therefore
-	// against the whole-image run, which AggregateLarge matches bit for
+	// folds pin against the in-process strip-mined Aggregate — and
+	// therefore against the whole-image run, which it matches bit for
 	// bit. The pipelined schedule and host seam model ride query params.
 	large := slapcc.RandomImage(24, 0.5, 9)
-	wantLarge, err := slapcc.AggregateLarge(large, slapcc.OnesOf(large), slapcc.SumOf(), slapcc.Options{ArrayWidth: 8})
+	wantLarge, err := slapcc.Aggregate(large, slapcc.OnesOf(large), slapcc.SumOf(), slapcc.Options{ArrayWidth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestClientAggregateAndBatch(t *testing.T) {
 			t.Fatalf("strip-mined per_pixel[%d] = %d, want %d", i, stripAgg.PerPixel[i], wantLarge.PerPixel[i])
 		}
 	}
-	wantPipe, err := slapcc.AggregateLarge(large, slapcc.OnesOf(large), slapcc.SumOf(),
+	wantPipe, err := slapcc.Aggregate(large, slapcc.OnesOf(large), slapcc.SumOf(),
 		slapcc.Options{ArrayWidth: 8, Seam: slapcc.SeamHost, Schedule: slapcc.SchedulePipelined})
 	if err != nil {
 		t.Fatal(err)

@@ -255,7 +255,7 @@ func initialDesc(op core.Monoid) string {
 	return "positions"
 }
 
-func printAggregate(img *bitmap.Bitmap, res *core.AggregateResult) {
+func printAggregate(img *bitmap.Bitmap, res *core.Result) {
 	fmt.Println("per-pixel aggregate:")
 	for y := 0; y < img.H(); y++ {
 		for x := 0; x < img.W(); x++ {

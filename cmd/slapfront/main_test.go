@@ -50,7 +50,7 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Fatalf("healthz: %v", err)
 	}
 	img := slapcc.RandomImage(32, 0.5, 42)
-	want, err := slapcc.LabelLarge(img, slapcc.Options{ArrayWidth: 8})
+	want, err := slapcc.LabelWithOptions(img, slapcc.Options{ArrayWidth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

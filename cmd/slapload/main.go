@@ -24,14 +24,14 @@
 //     workers, retrying on 429 through the client's backoff, verifying
 //     labels and simulated metrics when -verify is on (every 4th
 //     request strip-mines on a -array-wide machine when given, pinning
-//     the service against in-process LabelLarge);
+//     the service against the in-process strip-mined run);
 //  3. -batches multipart batches of -batchsize frames, checked for
 //     in-order, bit-identical results (skipped with -cluster: the
 //     slapfront coordinator does not expose /v1/label/batch);
 //  4. aggregate spot-checks (unless -aggverify=false): /v1/aggregate
 //     requests — whole-image and, when -array is set, strip-mined with
 //     array= — verified value-for-value against the in-process
-//     Aggregate/AggregateLarge;
+//     Aggregate;
 //  5. an optional -overload burst fired without retry to observe the
 //     admission queue shedding with 429.
 //
@@ -145,7 +145,7 @@ func run(args []string, out io.Writer) error {
 		array    = fs.Int("array", 0, "strip-mine every 4th request on an array this wide (0 = never)")
 		batches  = fs.Int("batches", 8, "multipart batch requests after the loop (0 = skip)")
 		batchSz  = fs.Int("batchsize", 8, "frames per batch request")
-		aggVer   = fs.Bool("aggverify", true, "spot-check /v1/aggregate (incl. strip-mined array= runs) against in-process AggregateLarge; needs -verify")
+		aggVer   = fs.Bool("aggverify", true, "spot-check /v1/aggregate (incl. strip-mined array= runs) against in-process Aggregate; needs -verify")
 		clusterT = fs.Bool("cluster", false, "target is a slapfront coordinator: skip the batch phase (no /v1/label/batch there)")
 		overload = fs.Int("overload", 0, "fire this many concurrent no-retry requests to observe 429s (0 = skip)")
 		outPath  = fs.String("out", "", "write the JSON report here as well as stdout")
@@ -251,7 +251,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	// Phase 4: aggregate spot-checks against in-process AggregateLarge.
+	// Phase 4: aggregate spot-checks against in-process Aggregate.
 	if *aggVer && *verify {
 		if err := runAggChecks(ctx, c, sizeList, *density, *array, *cost, refEngine, rep); err != nil {
 			return err
@@ -298,7 +298,7 @@ func run(args []string, out io.Writer) error {
 // image is wider than -array, two strip-mined requests per size (the
 // sequential and the pipelined schedule) — and verifies labels,
 // per-pixel folds and composed simulated time against the in-process
-// AggregateLarge. The pipelined rows pin the schedule model whose
+// Aggregate. The pipelined rows pin the schedule model whose
 // composed time the service must reproduce exactly.
 func runAggChecks(ctx context.Context, c *client.Client, sizes []int, density float64, array int, cost string, refEngine slapcc.Engine, rep *report) error {
 	for _, n := range sizes {

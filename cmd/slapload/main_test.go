@@ -56,7 +56,7 @@ func TestLoadAgainstRealServer(t *testing.T) {
 		t.Fatalf("batch: %+v", rep.Batch)
 	}
 	// Two sizes × (whole + strip-mined + strip-mined-pipelined): the
-	// aggregate spot-checks must all verify against AggregateLarge.
+	// aggregate spot-checks must all verify against in-process Aggregate.
 	if rep.Aggregate.Checks != 6 || rep.Aggregate.Strip != 4 ||
 		rep.Aggregate.Errors != 0 || rep.Aggregate.Mismatches != 0 {
 		t.Fatalf("aggregate: %+v", rep.Aggregate)

@@ -1,5 +1,6 @@
 // Largeimage: strip-mined labeling of an image far wider than the
-// physical array. A real SLAP has a fixed PE count; slapcc.LabelLarge
+// physical array. A real SLAP has a fixed PE count; with
+// Options.ArrayWidth narrower than the image, slapcc.LabelWithOptions
 // partitions the image into vertical strips of at most
 // Options.ArrayWidth columns, labels each strip with Algorithm CC on the
 // fixed-width machine, and stitches the strip boundaries with a metered
@@ -39,14 +40,14 @@ func main() {
 	fmt.Printf("%6s  %7s  %12s  %9s  %12s  %7s  %7s\n",
 		"array", "strips", "T composed", "vs whole", "T pipelined", "pipe %", "seam %")
 	for _, aw := range []int{512, 256, 128, 64, 32} {
-		res, err := slapcc.LabelLarge(img, slapcc.Options{ArrayWidth: aw})
+		res, err := slapcc.LabelWithOptions(img, slapcc.Options{ArrayWidth: aw})
 		if err != nil {
 			log.Fatal(err)
 		}
 		if !res.Labels.Equal(whole.Labels) {
 			log.Fatalf("array %d: strip-mined labeling diverged", aw)
 		}
-		pipe, err := slapcc.LabelLarge(img, slapcc.Options{ArrayWidth: aw, Schedule: slapcc.SchedulePipelined})
+		pipe, err := slapcc.LabelWithOptions(img, slapcc.Options{ArrayWidth: aw, Schedule: slapcc.SchedulePipelined})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func main() {
 
 	// The strip-mined Corollary 4 aggregation: component areas on the
 	// fixed-width array, identical to the whole-image fold.
-	agg, err := slapcc.AggregateLarge(img, slapcc.OnesOf(img), slapcc.SumOf(), slapcc.Options{ArrayWidth: 256})
+	agg, err := slapcc.Aggregate(img, slapcc.OnesOf(img), slapcc.SumOf(), slapcc.Options{ArrayWidth: 256})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -875,7 +875,7 @@ func (co *Coordinator) handleRun(agg bool) http.HandlerFunc {
 				writeDispatchError(w, err)
 				return
 			}
-			server.WriteTraced(w, http.StatusOK, rq.answer(resp), root)
+			server.WriteTraced(w, http.StatusOK, server.Answer(resp, rq.op), root)
 			return
 		}
 
@@ -900,23 +900,13 @@ func (co *Coordinator) handleRun(agg bool) http.HandlerFunc {
 			return
 		}
 		tsp := root.Child("stitch")
-		var res *core.Result
-		var ares *core.AggregateResult
-		if rq.op == nil {
-			res, err = core.ComposeStrips(img, runs, rq.opt)
-		} else {
-			ares, err = core.ComposeAggregateStrips(img, runs, *rq.op, rq.opt)
-		}
+		res, err := core.ComposeStrips(img, runs, rq.op, rq.opt)
 		tsp.EndErr(err)
 		if err != nil {
 			server.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		if rq.op == nil {
-			server.WriteTraced(w, http.StatusOK, server.ToLabelResponse(res, rq.p.WantLabels), root)
-		} else {
-			server.WriteTraced(w, http.StatusOK, server.ToAggregateResponse(ares, rq.op.Name, rq.p.WantLabels), root)
-		}
+		server.WriteTraced(w, http.StatusOK, server.Answer(server.ToAggregateResponse(res, rq.op, rq.p.WantLabels), rq.op), root)
 	}
 }
 
@@ -935,36 +925,23 @@ func (rq *request) post(ctx context.Context, cl *client.Client, data []byte, p a
 	return &api.AggregateResponse{LabelResponse: *resp}, nil
 }
 
-// answer is the wire body for a whole-image response: the label
-// response alone on label requests.
-func (rq *request) answer(resp *api.AggregateResponse) any {
-	if rq.op == nil {
-		return &resp.LabelResponse
-	}
-	return resp
-}
-
 // local answers a job on the coordinator itself — the last resort when
 // no backend will take it — with the response a backend would have
 // sent. offset is the job's global column-major origin, which
 // positions-initialized folds start from.
-func (rq *request) local(img *bitmap.Bitmap, opt core.Options, offset int, wantLabels bool) (*api.AggregateResponse, error) {
-	if rq.op == nil {
-		res, err := core.Label(img, opt)
-		if err != nil {
+func (rq *request) local(ctx context.Context, img *bitmap.Bitmap, opt core.Options, offset int, wantLabels bool) (*api.AggregateResponse, error) {
+	var initial []int32
+	if rq.op != nil {
+		var err error
+		if initial, err = server.InitialValues(img, rq.p.Initial, offset); err != nil {
 			return nil, err
 		}
-		return &api.AggregateResponse{LabelResponse: *server.ToLabelResponse(res, wantLabels)}, nil
 	}
-	initial, err := server.InitialValues(img, rq.p.Initial, offset)
+	res, err := core.Run(ctx, img, initial, rq.op, opt)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Aggregate(img, initial, *rq.op, opt)
-	if err != nil {
-		return nil, err
-	}
-	return server.ToAggregateResponse(res, rq.op.Name, wantLabels), nil
+	return server.ToAggregateResponse(res, rq.op, wantLabels), nil
 }
 
 // stripJob runs one strip's job: remote dispatch under the retry/hedge
@@ -983,7 +960,7 @@ func (co *Coordinator) stripJob(ctx context.Context, rq *request, j job, h int) 
 		stripOpt.ArrayWidth = 0
 		stripOpt.StripWorkers = 0
 		lsp := obs.FromContext(ctx).Child("local")
-		resp, err = rq.local(mustDecodeStrip(j), stripOpt, rq.p.InitialOffset+j.x0*h, true)
+		resp, err = rq.local(ctx, mustDecodeStrip(j), stripOpt, rq.p.InitialOffset+j.x0*h, true)
 		lsp.EndErr(err)
 		if err != nil {
 			return core.StripRun{}, err
@@ -1016,7 +993,7 @@ func (co *Coordinator) wholeImage(ctx context.Context, rq *request, img *bitmap.
 	}
 	co.reg.addFallback()
 	lsp := ssp.Child("local")
-	resp, err = rq.local(img, rq.opt, rq.p.InitialOffset, rq.p.WantLabels)
+	resp, err = rq.local(ctx, img, rq.opt, rq.p.InitialOffset, rq.p.WantLabels)
 	lsp.EndErr(err)
 	ssp.EndErr(err)
 	return resp, err

@@ -194,8 +194,12 @@ func TestClusterSurvivesBackendDeath(t *testing.T) {
 	})
 	b2 := httptest.NewServer(dying)
 	t.Cleanup(b2.Close)
-	_, front := newFront(t, []string{b1.URL, b2.URL}, func(cfg *Config) {
-		cfg.JobConcurrency = 2
+	// The dying backend is listed first and jobs run one at a time:
+	// pickExcluding breaks load ties by list order, so the dying backend
+	// answers the first job and takes the second, which meets the reset
+	// — by construction, not by scheduling luck.
+	_, front := newFront(t, []string{b2.URL, b1.URL}, func(cfg *Config) {
+		cfg.JobConcurrency = 1
 	})
 	img := testImage(t)
 	p := api.Params{ArrayWidth: 4, WantLabels: true} // 10 strips

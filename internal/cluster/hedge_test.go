@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,10 +139,13 @@ func TestHedgeCapBoundsAttempts(t *testing.T) {
 // cluster suite.
 func TestHedgeLoserCancelled(t *testing.T) {
 	cancelled := make(chan struct{}, 4)
+	entered := make(chan struct{})
+	var enterOnce sync.Once
 	blocking := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body so the server arms its client-disconnect watch;
 		// with unread bytes buffered, r.Context() never fires on abort.
 		io.Copy(io.Discard, r.Body)
+		enterOnce.Do(func() { close(entered) })
 		<-r.Context().Done()
 		cancelled <- struct{}{}
 	}))
@@ -150,6 +155,17 @@ func TestHedgeLoserCancelled(t *testing.T) {
 
 	co, front := newFront(t, []string{blocking.URL, fast.URL}, func(cfg *Config) {
 		cfg.HedgeMax = 2
+		// The hedge timer waits on Sleep: hold it until the primary is
+		// inside its blocking handler, so the winner's cancellation
+		// always reaches a handler that reports it.
+		cfg.Sleep = func(ctx context.Context, d time.Duration) error {
+			select {
+			case <-entered:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
 	})
 	img := testImage(t)
 	p := api.Params{WantLabels: true}

@@ -182,7 +182,7 @@ func (b workBody) Read(p []byte) (int, error) {
 }
 
 // workContext charges one unit of work per cancellation poll: the
-// engine polls its request context inside the run (LabelCtx on entry,
+// engine polls its request context inside the run (Run on entry,
 // the host engine before it labels), so the label stage's work.
 type workContext struct {
 	context.Context

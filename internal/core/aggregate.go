@@ -87,27 +87,11 @@ func Ones(img *bitmap.Bitmap) []int32 {
 	return init
 }
 
-// AggregateResult is the output of Aggregate.
-type AggregateResult struct {
-	// PerPixel holds, at each column-major position of a 1-pixel, the
-	// fold of initial over that pixel's whole component; background
-	// positions hold the identity.
-	PerPixel []int32
-	// Labels is the component labeling computed along the way.
-	Labels *bitmap.LabelMap
-	// Metrics covers the labeling and the aggregation phases together.
-	Metrics slap.Metrics
-	// UF reports union–find behavior of the labeling passes.
-	UF UFReport
-	// Summary, when non-nil, is the labeling's component summary (see
-	// Result.Summary).
-	Summary *Summary
-}
-
 // Aggregate implements the paper's Corollary 4: label the pixels of each
 // component with the fold (op) of the initial labels of the component's
 // pixels, in the same asymptotic time as component labeling itself.
-// initial is indexed by column-major position (x·H + y).
+// initial is indexed by column-major position (x·H + y); the folds come
+// back in Result.PerPixel.
 //
 // The procedure follows the Corollary's sketch: first produce a component
 // labeling, then fold locally within each column, then run two
@@ -116,78 +100,27 @@ type AggregateResult struct {
 //
 // With 0 < opt.ArrayWidth < img.W() the run strip-mines onto the
 // fixed-width array (see the tiler); results are identical.
-func Aggregate(img *bitmap.Bitmap, initial []int32, op Monoid, opt Options) (*AggregateResult, error) {
-	lb := labelerPool.Get().(*Labeler)
-	defer labelerPool.Put(lb)
-	lb.userOpt = opt
-	return lb.Aggregate(img, initial, op)
+func Aggregate(img *bitmap.Bitmap, initial []int32, op Monoid, opt Options) (*Result, error) {
+	return Run(context.TODO(), img, initial, &op, opt)
 }
 
 // Aggregate is the Labeler's reusable-arena form of the package-level
-// Aggregate: the labeling and the aggregation satellites all run
-// against the labeler's arenas; the only per-call allocation is the
-// returned result. When Options.ArrayWidth names an array narrower than
-// the image, the run is strip-mined (see the tiler and its
-// schedule models); per-pixel folds and labels are identical either
-// way.
-func (lb *Labeler) Aggregate(img *bitmap.Bitmap, initial []int32, op Monoid) (*AggregateResult, error) {
-	w, h := img.W(), img.H()
-	if len(initial) != w*h {
-		return nil, fmt.Errorf("core: initial labels have length %d, want %d", len(initial), w*h)
-	}
-	if op.Combine == nil {
-		return nil, fmt.Errorf("core: monoid %q has no Combine", op.Name)
-	}
-	if lb.userOpt.Engine == EngineHost {
-		return lb.aggregateHost(img, initial, op)
-	}
-	if aw := lb.userOpt.ArrayWidth; aw > 0 && aw < w {
-		res, out, err := lb.runLarge(img, initial, &op)
-		if err != nil {
-			return nil, err
-		}
-		return aggregateResult(res, out), nil
-	}
-	return lb.aggregateImage(img, initial, op)
+// Aggregate: Run under op with a context that is never cancelled.
+func (lb *Labeler) Aggregate(img *bitmap.Bitmap, initial []int32, op Monoid) (*Result, error) {
+	return lb.Run(context.TODO(), img, initial, &op)
 }
 
-// AggregateCtx is Aggregate under a request context, with LabelCtx's
-// contract: strip-mined runs poll ctx between strips and stop early
-// with a wrapped context error when it is cancelled; whole-image runs
-// check ctx only on entry.
-func (lb *Labeler) AggregateCtx(ctx context.Context, img *bitmap.Bitmap, initial []int32, op Monoid) (*AggregateResult, error) {
-	if err := cancelCheck(ctx); err != nil {
-		return nil, err
-	}
-	lb.ctx = ctx
-	defer func() { lb.ctx = nil }()
-	return lb.Aggregate(img, initial, op)
-}
-
-// aggregateImage is Aggregate over the Image interface, always on a
-// whole-image array: the shared path under Aggregate and
-// the tiler's per-strip runs (which pass zero-copy strip views and
-// the strip's contiguous window of the initial values).
-func (lb *Labeler) aggregateImage(img bitmap.Image, initial []int32, op Monoid) (*AggregateResult, error) {
-	w, h := img.W(), img.H()
-	if len(initial) != w*h {
-		return nil, fmt.Errorf("core: initial labels have length %d, want %d", len(initial), w*h)
-	}
-	if op.Combine == nil {
-		return nil, fmt.Errorf("core: monoid %q has no Combine", op.Name)
-	}
-	labels, err := lb.runCC(img)
-	defer func() { lb.img = nil }() // don't keep the caller's image alive between runs
-	if err != nil {
-		return nil, err
-	}
+// fold runs the Corollary 4 phases over a finished whole-image
+// labeling (runCC's, whose column arenas it reads) and returns the
+// per-pixel folds; Run checked initial and op.
+func (lb *Labeler) fold(labels *bitmap.LabelMap, initial []int32, op Monoid) []int32 {
+	w, h := lb.w, lb.h
 	out := make([]int32, w*h)
 	for i := range out {
 		out[i] = op.Identity
 	}
 	if w == 0 || h == 0 {
-		lb.finishReport()
-		return &AggregateResult{PerPixel: out, Labels: labels, Metrics: lb.m.Metrics(), UF: lb.report}, nil
+		return out
 	}
 
 	states := lb.agg.ensure(w)
@@ -252,8 +185,7 @@ func (lb *Labeler) aggregateImage(img bitmap.Image, initial []int32, op Monoid) 
 		}
 	})
 
-	lb.finishReport()
-	return &AggregateResult{PerPixel: out, Labels: labels, Metrics: lb.m.Metrics(), UF: lb.report}, nil
+	return out
 }
 
 // aggScratch is the labeler-owned arena behind Aggregate: one aggState

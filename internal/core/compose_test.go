@@ -31,8 +31,8 @@ func stripRunsFor(t *testing.T, img *bitmap.Bitmap, opt Options) []StripRun {
 
 // TestComposeStripsMatchesLabelLarge is the cluster seam's contract:
 // strips labeled independently over materialized sub-images (the wire
-// shape) and stitched by ComposeStrips must reproduce LabelLarge
-// bit-for-bit — labels, composed metrics under both schedule models,
+// shape) and stitched by ComposeStrips must reproduce the strip-mined
+// Label bit-for-bit — labels, composed metrics under both schedule models,
 // seam phases under both seam models, and the union–find report.
 func TestComposeStripsMatchesLabelLarge(t *testing.T) {
 	const n = 40
@@ -47,7 +47,7 @@ func TestComposeStripsMatchesLabelLarge(t *testing.T) {
 					img := f.Generate(n)
 					opt := Options{Connectivity: conn, Seam: seam, Schedule: sched, ArrayWidth: 16}
 					want := mustLabelLarge(t, img, opt)
-					got, err := ComposeStrips(img, stripRunsFor(t, img, opt), opt)
+					got, err := ComposeStrips(img, stripRunsFor(t, img, opt), nil, opt)
 					if err != nil {
 						t.Fatalf("%s/conn%d/%s/%s: ComposeStrips: %v", fam, conn, seam, sched, err)
 					}
@@ -73,8 +73,8 @@ func TestComposeStripsMatchesLabelLarge(t *testing.T) {
 
 // TestComposeAggregateStripsMatchesAggregateLarge is the aggregation
 // half of the same contract: per-strip Corollary-4 folds over
-// materialized sub-images, composed, must equal AggregateLarge
-// bit-for-bit.
+// materialized sub-images, composed under the monoid, must equal the
+// strip-mined Aggregate bit-for-bit.
 func TestComposeAggregateStripsMatchesAggregateLarge(t *testing.T) {
 	img := bitmap.Random(40, 0.5, 0xC0FFEE)
 	w, h := img.W(), img.H()
@@ -84,7 +84,7 @@ func TestComposeAggregateStripsMatchesAggregateLarge(t *testing.T) {
 			opt := Options{ArrayWidth: 16, Schedule: sched}
 			want, err := Aggregate(img, initial, op, opt)
 			if err != nil {
-				t.Fatalf("AggregateLarge: %v", err)
+				t.Fatalf("Aggregate: %v", err)
 			}
 			aw := opt.ArrayWidth
 			strips := (w + aw - 1) / aw
@@ -99,9 +99,9 @@ func TestComposeAggregateStripsMatchesAggregateLarge(t *testing.T) {
 				}
 				runs[s] = StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, PerPixel: res.PerPixel}
 			}
-			got, err := ComposeAggregateStrips(img, runs, op, opt)
+			got, err := ComposeStrips(img, runs, &op, opt)
 			if err != nil {
-				t.Fatalf("ComposeAggregateStrips: %v", err)
+				t.Fatalf("ComposeStrips: %v", err)
 			}
 			if !got.Labels.Equal(want.Labels) {
 				t.Errorf("%s/%s: composed labels diverged", op.Name, sched)
@@ -127,29 +127,30 @@ func TestComposeStripsValidation(t *testing.T) {
 	opt := Options{ArrayWidth: 8}
 	runs := stripRunsFor(t, img, opt)
 
-	if _, err := ComposeStrips(img, runs, Options{ArrayWidth: 0}); err == nil {
+	if _, err := ComposeStrips(img, runs, nil, Options{ArrayWidth: 0}); err == nil {
 		t.Error("ArrayWidth 0 accepted")
 	}
-	if _, err := ComposeStrips(img, runs, Options{ArrayWidth: 20}); err == nil {
+	if _, err := ComposeStrips(img, runs, nil, Options{ArrayWidth: 20}); err == nil {
 		t.Error("ArrayWidth == image width accepted")
 	}
-	if _, err := ComposeStrips(img, runs[:2], opt); err == nil {
+	if _, err := ComposeStrips(img, runs[:2], nil, opt); err == nil {
 		t.Error("wrong strip count accepted")
 	}
 	bad := append([]StripRun(nil), runs...)
 	bad[1].Labels = bitmap.NewLabelMap(3, 3)
-	if _, err := ComposeStrips(img, bad, opt); err == nil {
+	if _, err := ComposeStrips(img, bad, nil, opt); err == nil {
 		t.Error("wrong strip dimensions accepted")
 	}
 	bad = append([]StripRun(nil), runs...)
 	bad[0].Labels = nil
-	if _, err := ComposeStrips(img, bad, opt); err == nil {
+	if _, err := ComposeStrips(img, bad, nil, opt); err == nil {
 		t.Error("nil strip labels accepted")
 	}
-	if _, err := ComposeAggregateStrips(img, runs, Sum(), opt); err == nil {
+	sum := Sum()
+	if _, err := ComposeStrips(img, runs, &sum, opt); err == nil {
 		t.Error("aggregation compose without per-pixel folds accepted")
 	}
-	if _, err := ComposeAggregateStrips(img, runs, Monoid{Name: "broken"}, opt); err == nil {
+	if _, err := ComposeStrips(img, runs, &Monoid{Name: "broken"}, opt); err == nil {
 		t.Error("monoid without Combine accepted")
 	}
 }
@@ -177,9 +178,10 @@ func (c *countdownCtx) Err() error {
 func TestLabelCtxCancelsBetweenStrips(t *testing.T) {
 	img := bitmap.Random(40, 0.5, 3)
 	lb := NewLabeler(Options{ArrayWidth: 8})
+	sum := Sum()
 	ctx := &countdownCtx{Context: context.Background(), n: 2}
-	if _, err := lb.LabelCtx(ctx, img); !errors.Is(err, context.Canceled) {
-		t.Fatalf("LabelCtx under mid-run cancellation: got %v, want context.Canceled", err)
+	if _, err := lb.Run(ctx, img, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run under mid-run cancellation: got %v, want context.Canceled", err)
 	}
 	// The labeler must shed the dead context: the same arenas label fine
 	// on the next (uncancelled) run.
@@ -189,15 +191,15 @@ func TestLabelCtxCancelsBetweenStrips(t *testing.T) {
 
 	// Aggregation path, same budget arithmetic.
 	ctx = &countdownCtx{Context: context.Background(), n: 2}
-	if _, err := lb.AggregateCtx(ctx, img, Ones(img), Sum()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AggregateCtx under mid-run cancellation: got %v, want context.Canceled", err)
+	if _, err := lb.Run(ctx, img, Ones(img), &sum); !errors.Is(err, context.Canceled) {
+		t.Fatalf("aggregating Run under mid-run cancellation: got %v, want context.Canceled", err)
 	}
 
 	// Already-cancelled context: rejected on entry, before any work.
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := lb.LabelCtx(done, img); !errors.Is(err, context.Canceled) {
-		t.Fatalf("LabelCtx with pre-cancelled ctx: got %v, want context.Canceled", err)
+	if _, err := lb.Run(done, img, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run with pre-cancelled ctx: got %v, want context.Canceled", err)
 	}
 }
 
@@ -225,10 +227,11 @@ func (c *deadlineCtx) Err() error {
 func TestLabelCtxDeadlineBetweenStrips(t *testing.T) {
 	img := bitmap.Random(40, 0.5, 3)
 	lb := NewLabeler(Options{ArrayWidth: 8})
+	sum := Sum()
 	ctx := &deadlineCtx{Context: context.Background(), n: 2}
-	_, err := lb.LabelCtx(ctx, img)
+	_, err := lb.Run(ctx, img, nil, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("LabelCtx under mid-run expiry: got %v, want context.DeadlineExceeded", err)
+		t.Fatalf("Run under mid-run expiry: got %v, want context.DeadlineExceeded", err)
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatal("expiry error also claims context.Canceled")
@@ -239,42 +242,43 @@ func TestLabelCtxDeadlineBetweenStrips(t *testing.T) {
 	}
 
 	ctx = &deadlineCtx{Context: context.Background(), n: 2}
-	if _, err := lb.AggregateCtx(ctx, img, Ones(img), Sum()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AggregateCtx under mid-run expiry: got %v, want context.DeadlineExceeded", err)
+	if _, err := lb.Run(ctx, img, Ones(img), &sum); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("aggregating Run under mid-run expiry: got %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// TestPoolLabelWithCtx covers the pool front doors: a live context
+// TestPoolLabelWithCtx covers the pool's context entry: a live context
 // passes through to a normal run; a cancelled one aborts — in the
 // worker wait or between strips — with a wrapped context error.
 func TestPoolLabelWithCtx(t *testing.T) {
 	img := bitmap.Random(24, 0.5, 9)
 	pool := NewLabelerPool(Options{}, 1)
 	opt := Options{ArrayWidth: 8}
+	sum := Sum()
 
-	res, err := pool.LabelWithCtx(context.Background(), img, opt)
+	res, err := pool.RunWith(context.Background(), img, nil, nil, opt)
 	if err != nil {
-		t.Fatalf("LabelWithCtx: %v", err)
+		t.Fatalf("RunWith: %v", err)
 	}
 	want := mustLabelLarge(t, img, opt)
 	if !res.Labels.Equal(want.Labels) {
-		t.Error("LabelWithCtx diverged from LabelLarge")
+		t.Error("RunWith diverged from the strip-mined Label")
 	}
 
-	agg, err := pool.AggregateWithCtx(context.Background(), img, Ones(img), Sum(), opt)
+	agg, err := pool.RunWith(context.Background(), img, Ones(img), &sum, opt)
 	if err != nil {
-		t.Fatalf("AggregateWithCtx: %v", err)
+		t.Fatalf("aggregating RunWith: %v", err)
 	}
 	if agg.Labels == nil || len(agg.PerPixel) != img.W()*img.H() {
-		t.Error("AggregateWithCtx returned a malformed result")
+		t.Error("aggregating RunWith returned a malformed result")
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pool.LabelWithCtx(cancelled, img, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("LabelWithCtx with cancelled ctx: got %v, want context.Canceled", err)
+	if _, err := pool.RunWith(cancelled, img, nil, nil, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunWith with cancelled ctx: got %v, want context.Canceled", err)
 	}
-	if _, err := pool.AggregateWithCtx(cancelled, img, Ones(img), Sum(), opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AggregateWithCtx with cancelled ctx: got %v, want context.Canceled", err)
+	if _, err := pool.RunWith(cancelled, img, Ones(img), &sum, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("aggregating RunWith with cancelled ctx: got %v, want context.Canceled", err)
 	}
 }

@@ -278,12 +278,16 @@ type SpecStats struct {
 	Wasted int64
 }
 
-// Result is the output of Label.
+// Result is the output of a run: Label, or Aggregate with PerPixel set.
 type Result struct {
 	// Labels is the canonical component labeling: every component carries
 	// the least column-major position of its pixels; background is
 	// bitmap.Background.
 	Labels *bitmap.LabelMap
+	// PerPixel holds, on aggregation runs, the fold of initial over each
+	// 1-pixel's whole component at its column-major position; background
+	// positions hold the monoid's identity. Nil on label runs.
+	PerPixel []int32
 	// Metrics is the simulated machine's timing/traffic accounting.
 	Metrics slap.Metrics
 	// UF reports union–find behavior.
@@ -362,21 +366,17 @@ type Labeler struct {
 	// on the first EngineHost run so simulator-only labelers pay nothing.
 	host *hostcc.Labeler
 
-	// ctx is the caller's request context for the duration of a *Ctx
-	// run: strip-mined runs poll it between strips, so a cancelled
-	// request stops early instead of finishing the whole image. Nil
-	// (the non-Ctx entry points) means never cancelled.
+	// ctx is the caller's context for the duration of a Run: strip-mined
+	// runs poll it between strips, so a cancelled request stops early
+	// instead of finishing the whole image, and trace spans attach to
+	// it. Nil between runs.
 	ctx context.Context
 }
 
-// cancelCheck reports ctx's cancellation as a core error (nil ctx never
-// cancels). It wraps the context error, so errors.Is(err,
-// context.Canceled / DeadlineExceeded) keeps working for callers that
-// map cancellation to a status code.
+// cancelCheck reports ctx's cancellation as a core error. It wraps the
+// context error, so errors.Is(err, context.Canceled / DeadlineExceeded)
+// keeps working for callers that map cancellation to a status code.
 func cancelCheck(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: run cancelled between strips: %w", err)
 	}
@@ -390,48 +390,64 @@ func NewLabeler(opt Options) *Labeler {
 	return &Labeler{userOpt: opt}
 }
 
-// Label runs Algorithm CC on img, reusing the labeler's arenas. When
-// Options.ArrayWidth names an array narrower than the image, the run is
-// strip-mined (see the tiler); the labeling is identical either way.
-// Options.Engine == EngineHost answers with the host engine instead:
-// the same labels, no simulation.
+// Label runs Algorithm CC on img, reusing the labeler's arenas: Run
+// with no monoid and a context that is never cancelled.
 func (lb *Labeler) Label(img *bitmap.Bitmap) (*Result, error) {
-	if lb.userOpt.Engine == EngineHost {
-		return lb.labelHost(img)
-	}
-	if aw := lb.userOpt.ArrayWidth; aw > 0 && aw < img.W() {
-		res, _, err := lb.runLarge(img, nil, nil)
-		return res, err
-	}
-	return lb.labelImage(img)
+	return lb.Run(context.TODO(), img, nil, nil)
 }
 
-// LabelCtx is Label under a request context: a strip-mined run polls
-// ctx between strips and stops early with a wrapped context error when
-// it is cancelled, instead of finishing the whole image. Whole-image
-// runs are one indivisible simulation; for them ctx is checked only on
-// entry. Results and metrics of completed runs are identical to
-// Label's.
-func (lb *Labeler) LabelCtx(ctx context.Context, img *bitmap.Bitmap) (*Result, error) {
+// Run is the labeler's one entry: it labels img when op is nil, and
+// runs the Corollary 4 aggregation of initial under *op otherwise (see
+// Aggregate). It dispatches to the host engine (Options.Engine ==
+// EngineHost: the same labels and folds, no simulation), to a
+// strip-mined run when Options.ArrayWidth names an array narrower than
+// the image (see the tiler), or to a whole-image run; the answer is
+// identical either way.
+//
+// ctx is polled on entry and, on strip-mined runs, between strips: a
+// cancelled run stops early with a wrapped context error instead of
+// finishing the whole image. A whole-image simulation is one
+// indivisible run. Results and metrics of completed runs do not depend
+// on ctx.
+func (lb *Labeler) Run(ctx context.Context, img *bitmap.Bitmap, initial []int32, op *Monoid) (*Result, error) {
 	if err := cancelCheck(ctx); err != nil {
 		return nil, err
 	}
+	if op != nil {
+		if len(initial) != img.W()*img.H() {
+			return nil, fmt.Errorf("core: initial labels have length %d, want %d", len(initial), img.W()*img.H())
+		}
+		if op.Combine == nil {
+			return nil, fmt.Errorf("core: monoid %q has no Combine", op.Name)
+		}
+	}
 	lb.ctx = ctx
 	defer func() { lb.ctx = nil }()
-	return lb.Label(img)
+	if lb.userOpt.Engine == EngineHost {
+		return lb.runHost(img, initial, op)
+	}
+	if aw := lb.userOpt.ArrayWidth; aw > 0 && aw < img.W() {
+		return lb.runLarge(img, initial, op)
+	}
+	return lb.runImage(img, initial, op)
 }
 
-// labelImage is Label over the Image interface, always on a whole-image
-// array: the shared path under Label, the tiler's per-strip runs, and
-// Aggregate's labeling step.
-func (lb *Labeler) labelImage(img bitmap.Image) (*Result, error) {
+// runImage is Run over the Image interface, always on a whole-image
+// array: the shared path under Run and the tiler's per-strip runs
+// (which pass zero-copy strip views and the strip's window of initial).
+// With op it appends the Corollary 4 phases to the labeling's.
+func (lb *Labeler) runImage(img bitmap.Image, initial []int32, op *Monoid) (*Result, error) {
 	labels, err := lb.runCC(img)
-	lb.img = nil // don't keep the caller's image alive between runs
+	defer func() { lb.img = nil }() // don't keep the caller's image alive between runs
 	if err != nil {
 		return nil, err
 	}
+	var perPixel []int32
+	if op != nil {
+		perPixel = lb.fold(labels, initial, *op)
+	}
 	lb.finishReport()
-	return &Result{Labels: labels, Metrics: lb.m.Metrics(), UF: lb.report, Speculation: lb.spec}, nil
+	return &Result{Labels: labels, PerPixel: perPixel, Metrics: lb.m.Metrics(), UF: lb.report, Speculation: lb.spec}, nil
 }
 
 // labelerPool backs the package-level one-shot calls, so steady streams
@@ -444,15 +460,21 @@ var labelerPool = sync.Pool{New: func() any { return &Labeler{} }}
 // configuration problems (unknown UF kind, image too large for the label
 // space, invalid cost model).
 func Label(img *bitmap.Bitmap, opt Options) (*Result, error) {
+	return Run(context.TODO(), img, nil, nil, opt)
+}
+
+// Run is Labeler.Run under opt on a pooled labeler: the one-shot form
+// of the labeler's one entry.
+func Run(ctx context.Context, img *bitmap.Bitmap, initial []int32, op *Monoid, opt Options) (*Result, error) {
 	lb := labelerPool.Get().(*Labeler)
 	defer labelerPool.Put(lb)
 	lb.userOpt = opt
-	return lb.Label(img)
+	return lb.Run(ctx, img, initial, op)
 }
 
 // runCC executes the full Algorithm CC against the labeler's arenas and
 // returns the finished labeling; the machine keeps accumulating phases,
-// for extensions like Aggregate.
+// for the Corollary 4 fold.
 func (lb *Labeler) runCC(img bitmap.Image) (*bitmap.LabelMap, error) {
 	opt := lb.userOpt.withDefaults()
 	w, h := img.W(), img.H()

@@ -60,12 +60,13 @@ func (lb *Labeler) hostLabeler() *hostcc.Labeler {
 	return lb.host
 }
 
-// labelHost answers Label with the host engine: canonical labels, zero
-// Metrics, a HostUFKind report. Under Options.SkipLabels the labeling
-// itself is never materialized — the summary-only sweep produces the
-// identical Stats (and so the identical wire response, minus the label
-// array) at a fraction of the cost.
-func (lb *Labeler) labelHost(img *bitmap.Bitmap) (*Result, error) {
+// runHost answers Run with the host engine: canonical labels (and, under
+// op, the per-pixel folds), zero Metrics, a HostUFKind report. Under
+// Options.SkipLabels a label run never materializes the labeling — the
+// summary-only sweep produces the identical Stats (and so the identical
+// wire response, minus the label array) at a fraction of the cost;
+// aggregation runs ignore it, since the folds are the product.
+func (lb *Labeler) runHost(img *bitmap.Bitmap, initial []int32, op *Monoid) (*Result, error) {
 	opt := lb.userOpt.withDefaults()
 	if err := opt.validate(img.W(), img.H()); err != nil {
 		return nil, err
@@ -73,40 +74,28 @@ func (lb *Labeler) labelHost(img *bitmap.Bitmap) (*Result, error) {
 	if err := cancelCheck(lb.ctx); err != nil {
 		return nil, err
 	}
-	if opt.SkipLabels {
-		st := lb.hostLabeler().Summary(img, opt.Connectivity)
-		return &Result{UF: hostReport(st), Summary: hostSummary(st, img)}, nil
+	host := lb.hostLabeler()
+	res := &Result{}
+	var st hostcc.Stats
+	switch {
+	case op != nil:
+		res.Labels, res.PerPixel, st = host.Aggregate(img, initial, op.Identity, op.Combine, opt.Connectivity)
+	case opt.SkipLabels:
+		st = host.Summary(img, opt.Connectivity)
+	default:
+		res.Labels, st = host.Label(img, opt.Connectivity)
 	}
-	labels, st := lb.hostLabeler().Label(img, opt.Connectivity)
-	return &Result{Labels: labels, UF: hostReport(st), Summary: hostSummary(st, img)}, nil
-}
-
-// hostSummary lifts the host labeler's run-derived component summary
-// (identical to seqcc.Summarize over the labels, at O(runs) instead of
-// O(pixels)) into the result.
-func hostSummary(st hostcc.Stats, img *bitmap.Bitmap) *Summary {
-	return &Summary{W: img.W(), H: img.H(), Components: st.Components, Foreground: st.Foreground, Largest: st.Largest}
-}
-
-// aggregateHost answers Aggregate with the host engine; callers
-// validated initial and op.
-func (lb *Labeler) aggregateHost(img *bitmap.Bitmap, initial []int32, op Monoid) (*AggregateResult, error) {
-	opt := lb.userOpt.withDefaults()
-	if err := opt.validate(img.W(), img.H()); err != nil {
-		return nil, err
-	}
-	if err := cancelCheck(lb.ctx); err != nil {
-		return nil, err
-	}
-	labels, per, st := lb.hostLabeler().Aggregate(img, initial, op.Identity, op.Combine, opt.Connectivity)
-	return &AggregateResult{PerPixel: per, Labels: labels, UF: hostReport(st), Summary: hostSummary(st, img)}, nil
+	res.UF = hostReport(st)
+	// The run-derived summary equals seqcc.Summarize over the labels, at
+	// O(runs) instead of O(pixels).
+	res.Summary = &Summary{W: img.W(), H: img.H(), Components: st.Components, Foreground: st.Foreground, Largest: st.Largest}
+	return res, nil
 }
 
 // composeHostStrips is the host-engine compose path behind
-// ComposeStrips/ComposeAggregateStrips (out/op non-nil on aggregation
-// runs): the cluster coordinator fans strips to backends under
-// cost=host and stitches the answers here. The strip labelings are
-// already globalized into global; the stitch reuses the seam
+// ComposeStrips (out/op non-nil on aggregation runs): the cluster
+// coordinator fans strips to backends under cost=host and stitches the
+// answers here. The strip labelings are already globalized into global; the stitch reuses the seam
 // machinery's label (and fold) rewrite with the seam forced to the
 // host model — no seam machine is built, and the charged phases are
 // discarded, because a host-engine answer carries no Metrics. The

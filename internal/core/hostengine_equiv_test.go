@@ -40,13 +40,6 @@ func (s labelShape) metricsZero() bool {
 }
 func (s labelShape) ufKind() string { return string(s.r.UF.Kind) }
 
-type aggShape struct{ r *AggregateResult }
-
-func (s aggShape) metricsZero() bool {
-	return s.r.Metrics.Time == 0 && len(s.r.Metrics.Phases) == 0 && s.r.Metrics.Sends == 0
-}
-func (s aggShape) ufKind() string { return string(s.r.UF.Kind) }
-
 func TestHostEngineLabelMatrix(t *testing.T) {
 	for _, fam := range bitmap.Families() {
 		for _, n := range []int{33, 64} {
@@ -117,7 +110,7 @@ func TestHostEngineAggregateMatrix(t *testing.T) {
 						t.Fatalf("%s: per-pixel[%d] host %d, sim %d", name, i, host.PerPixel[i], sim.PerPixel[i])
 					}
 				}
-				requireHostShape(t, name, aggShape{host})
+				requireHostShape(t, name, labelShape{host})
 			}
 		}
 	}
@@ -199,8 +192,8 @@ func copyStrip(img *bitmap.Bitmap, x0, sw int) *bitmap.Bitmap {
 }
 
 // TestHostEngineCompose drives the cluster-shaped path: strips labeled
-// independently under the host engine, stitched by ComposeStrips /
-// ComposeAggregateStrips with Engine == EngineHost. The composed answer
+// independently under the host engine, stitched by ComposeStrips with
+// Engine == EngineHost, without and with a monoid. The composed answer
 // must match a whole-image host run — and therefore the simulator.
 func TestHostEngineCompose(t *testing.T) {
 	img := bitmap.Random(90, 0.5, 0xC10)
@@ -235,7 +228,7 @@ func TestHostEngineCompose(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: whole: %v", name, err)
 			}
-			composed, err := ComposeStrips(img, runs, opt)
+			composed, err := ComposeStrips(img, runs, nil, opt)
 			if err != nil {
 				t.Fatalf("%s: compose: %v", name, err)
 			}
@@ -248,7 +241,8 @@ func TestHostEngineCompose(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: whole agg: %v", name, err)
 			}
-			composedAgg, err := ComposeAggregateStrips(img, aggRuns, Sum(), opt)
+			sum := Sum()
+			composedAgg, err := ComposeStrips(img, aggRuns, &sum, opt)
 			if err != nil {
 				t.Fatalf("%s: compose agg: %v", name, err)
 			}
@@ -260,7 +254,7 @@ func TestHostEngineCompose(t *testing.T) {
 					t.Fatalf("%s: composed per-pixel[%d] = %d, want %d", name, i, composedAgg.PerPixel[i], wholeAgg.PerPixel[i])
 				}
 			}
-			requireHostShape(t, name+" agg", aggShape{composedAgg})
+			requireHostShape(t, name+" agg", labelShape{composedAgg})
 		}
 	}
 }

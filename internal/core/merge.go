@@ -36,8 +36,6 @@ func (sc *mergeScratch) reset() {
 		// the package default structure, as before.
 		sc.forest = unionfind.NewForest(0, unionfind.LinkBySize, unionfind.CompressFull)
 		sc.meter = unionfind.NewMeter(sc.forest)
-		// Only Stats/MaxOpCost feed the UF report; skip the histogram.
-		sc.meter.DisableHistogram()
 	}
 	sc.meter.ResetStats()
 }

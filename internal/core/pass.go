@@ -499,8 +499,6 @@ func (lb *Labeler) resetColState(st *colState) {
 	if st.uf == nil || st.kind != lb.opt.UF {
 		inner, _ := unionfind.Make(lb.opt.UF, h)
 		st.uf = unionfind.NewMeter(inner)
-		// Only Stats/MaxOpCost feed the UF report; skip the histogram.
-		st.uf.DisableHistogram()
 		st.kind = lb.opt.UF
 	} else {
 		st.uf.Reset(h)

@@ -56,8 +56,8 @@ func (p *LabelerPool) Idle() int { return len(p.free) }
 // runOn runs fn on a checked-out worker and returns the worker via
 // defer so a panicking labeler cannot shrink the pool: the panic
 // propagates, but the slot is refilled with a fresh labeler (the
-// panicked one's arenas may be mid-run corrupt). Generic so the Label-
-// and Aggregate-shaped calls share this one lifecycle contract.
+// panicked one's arenas may be mid-run corrupt). Generic so whole runs
+// and the tiler's strip runs share this one lifecycle contract.
 func runOn[T any](p *LabelerPool, lb *Labeler, fn func(*Labeler) (T, error)) (T, error) {
 	done := false
 	defer func() {
@@ -71,56 +71,37 @@ func runOn[T any](p *LabelerPool, lb *Labeler, fn func(*Labeler) (T, error)) (T,
 	return res, err
 }
 
-// under wraps fn to run with the worker retargeted to opt, restoring
-// the worker's own options afterwards whether fn succeeds or fails.
-// This is how one pool of warm workers serves heterogeneous requests
-// (connectivity, cost model, ArrayWidth all vary per request): the
-// arenas adapt in place, so warm reuse still applies across option
-// mixes.
-func under[T any](opt Options, fn func(*Labeler) (T, error)) func(*Labeler) (T, error) {
-	return func(lb *Labeler) (T, error) {
-		defer func(prev Options) { lb.userOpt = prev }(lb.userOpt)
-		lb.userOpt = opt
-		return fn(lb)
-	}
-}
-
 // Label runs Algorithm CC on img on any free worker, blocking while all
 // workers are busy. Safe for concurrent use.
 func (p *LabelerPool) Label(img *bitmap.Bitmap) (*Result, error) {
 	return runOn(p, <-p.free, func(lb *Labeler) (*Result, error) { return lb.Label(img) })
 }
 
-// LabelWith is Label under per-call options — the shape a service
-// needs; see under for the worker-restoration contract.
+// LabelWith is Label under per-call options: RunWith with no monoid and
+// a context that is never cancelled.
 func (p *LabelerPool) LabelWith(img *bitmap.Bitmap, opt Options) (*Result, error) {
-	return runOn(p, <-p.free, under(opt, func(lb *Labeler) (*Result, error) { return lb.Label(img) }))
+	return p.RunWith(context.TODO(), img, nil, nil, opt)
 }
 
-// LabelWithCtx is LabelWith under a request context: the wait for a
-// free worker aborts if ctx is cancelled first, and a strip-mined run
-// polls ctx between strips (see Labeler.LabelCtx). When ctx carries a
-// trace span, the worker wait is recorded as a "pool" child — the
-// queue-behind-the-pool stage every request pays under load.
-func (p *LabelerPool) LabelWithCtx(ctx context.Context, img *bitmap.Bitmap, opt Options) (*Result, error) {
+// RunWith is Labeler.Run on any free worker under per-call options and
+// a request context — the shape a service needs. The wait for a free
+// worker aborts if ctx is cancelled first; when ctx carries a trace
+// span, the wait is recorded as a "pool" child, the
+// queue-behind-the-pool stage every request pays under load. The worker
+// is retargeted to opt for the run and restored afterwards, whether the
+// run succeeds or fails: one pool of warm workers serves heterogeneous
+// requests (connectivity, cost model, ArrayWidth all vary per request),
+// the arenas adapting in place. Safe for concurrent use.
+func (p *LabelerPool) RunWith(ctx context.Context, img *bitmap.Bitmap, initial []int32, op *Monoid, opt Options) (*Result, error) {
 	lb, err := p.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return runOn(p, lb, under(opt, func(lb *Labeler) (*Result, error) { return lb.LabelCtx(ctx, img) }))
-}
-
-// AggregateWithCtx runs the Corollary 4 aggregation on any free worker
-// under per-call options and a request context, with LabelWithCtx's
-// contract (including the "pool" wait span). Safe for concurrent use.
-func (p *LabelerPool) AggregateWithCtx(ctx context.Context, img *bitmap.Bitmap, initial []int32, op Monoid, opt Options) (*AggregateResult, error) {
-	lb, err := p.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return runOn(p, lb, under(opt, func(lb *Labeler) (*AggregateResult, error) {
-		return lb.AggregateCtx(ctx, img, initial, op)
-	}))
+	return runOn(p, lb, func(lb *Labeler) (*Result, error) {
+		defer func(prev Options) { lb.userOpt = prev }(lb.userOpt)
+		lb.userOpt = opt
+		return lb.Run(ctx, img, initial, op)
+	})
 }
 
 // acquire checks out a worker under a "pool" trace span, abandoning the
@@ -262,39 +243,6 @@ func (s *LabelStream) Submit(img *bitmap.Bitmap) {
 	}
 	s.frames <- streamFrame{seq: seq, img: img}
 }
-
-// TrySubmit is Submit without the backpressure wait: it accepts img
-// only when the stream can take it without blocking, reporting whether
-// it did. A rejected frame consumes no submission index — in-order
-// delivery of the accepted frames is unaffected — so an ingest loop can
-// shed load (drop, or answer "try again later") instead of stalling.
-// In single-worker mode Submit never queues, so TrySubmit always
-// accepts and labels synchronously like Submit.
-func (s *LabelStream) TrySubmit(img *bitmap.Bitmap) bool {
-	if s.closed {
-		panic("core: TrySubmit on a closed LabelStream")
-	}
-	if s.lone != nil {
-		s.Submit(img)
-		return true
-	}
-	select {
-	case s.frames <- streamFrame{seq: s.next, img: img}:
-		s.next++
-		return true
-	default:
-		return false
-	}
-}
-
-// QueueDepth returns how many accepted frames are waiting for a worker
-// right now (0 in single-worker mode, where Submit is synchronous). A
-// racy snapshot, like LabelerPool.Idle: a gauge, not a reservation.
-func (s *LabelStream) QueueDepth() int { return len(s.frames) }
-
-// QueueCap returns the frame buffer's capacity: TrySubmit starts
-// rejecting when QueueDepth reaches it and every worker is busy.
-func (s *LabelStream) QueueCap() int { return cap(s.frames) }
 
 // Close drains the stream: it waits until every submitted frame's
 // result has been delivered to the sink, then releases the workers.

@@ -258,7 +258,7 @@ func TestLabelerPoolLabelWith(t *testing.T) {
 		t.Fatal("pool options did not revert after LabelWith")
 	}
 
-	// Strip-mined per-request options flow through to LabelLarge.
+	// Strip-mined per-request options flow through to the tiler.
 	big := bitmap.Random(48, 0.5, 3)
 	wantL := mustLabel(t, big, Options{})
 	gotL, err := pool.LabelWith(big, Options{ArrayWidth: 16})
@@ -273,9 +273,8 @@ func TestLabelerPoolLabelWith(t *testing.T) {
 	}
 }
 
-// TestLabelerPoolAggregateWith: per-call aggregation (AggregateWithCtx)
-// matches the
-// one-shot Aggregate, and an error restores the worker and its
+// TestLabelerPoolAggregateWith: per-call aggregation (RunWith under a
+// monoid) matches the one-shot Aggregate, and an error restores the worker and its
 // options.
 func TestLabelerPoolAggregateWith(t *testing.T) {
 	img := bitmap.MustParse("##.\n.#.\n..#")
@@ -285,7 +284,8 @@ func TestLabelerPoolAggregateWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pool.AggregateWithCtx(ctx, img, Ones(img), Sum(), Options{})
+	sum := Sum()
+	got, err := pool.RunWith(ctx, img, Ones(img), &sum, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,96 +298,22 @@ func TestLabelerPoolAggregateWith(t *testing.T) {
 	// A strip-mined aggregate runs through the tiler and matches the
 	// whole-image fold; a bad call errors and the worker must come back
 	// with the pool's own options intact.
-	strip, err := pool.AggregateWithCtx(ctx, img, Ones(img), Sum(), Options{ArrayWidth: 2})
+	strip, err := pool.RunWith(ctx, img, Ones(img), &sum, Options{ArrayWidth: 2})
 	if err != nil {
-		t.Fatalf("strip-mined AggregateWithCtx: %v", err)
+		t.Fatalf("strip-mined RunWith: %v", err)
 	}
 	for i := range want.PerPixel {
 		if want.PerPixel[i] != strip.PerPixel[i] {
 			t.Fatalf("strip-mined PerPixel[%d] = %d, want %d", i, strip.PerPixel[i], want.PerPixel[i])
 		}
 	}
-	if _, err := pool.AggregateWithCtx(ctx, img, Ones(img), Monoid{Name: "broken"}, Options{}); err == nil {
+	if _, err := pool.RunWith(ctx, img, Ones(img), &Monoid{Name: "broken"}, Options{}); err == nil {
 		t.Fatal("monoid without Combine did not error")
 	}
 	if pool.Idle() != 1 {
-		t.Fatalf("worker not returned after AggregateWithCtx error: Idle() = %d", pool.Idle())
+		t.Fatalf("worker not returned after RunWith error: Idle() = %d", pool.Idle())
 	}
 	if res, err := pool.Label(img); err != nil || !res.Labels.Equal(mustLabel(t, img, Options{}).Labels) {
-		t.Fatalf("pool unusable after AggregateWithCtx error: %v", err)
+		t.Fatalf("pool unusable after RunWith error: %v", err)
 	}
-}
-
-// TestLabelStreamTrySubmit walks the full/empty transition: with the
-// sink gated shut the pipeline backs up until TrySubmit refuses; after
-// the gate opens and the backlog drains, TrySubmit accepts again, and
-// every accepted frame arrives exactly once, in order.
-func TestLabelStreamTrySubmit(t *testing.T) {
-	gate := make(chan struct{})
-	delivered := make(chan int, 256)
-	seen := 0
-	s := NewLabelStream(Options{}, 2, func(r StreamResult) {
-		<-gate
-		if r.Frame != seen {
-			t.Errorf("frame %d delivered at position %d", r.Frame, seen)
-		}
-		seen++
-		delivered <- r.Frame
-	})
-	if s.QueueCap() != 2*s.Workers() {
-		t.Fatalf("QueueCap() = %d, want %d", s.QueueCap(), 2*s.Workers())
-	}
-
-	img := bitmap.Random(8, 0.5, 1)
-	accepted := 0
-	refused := false
-	for i := 0; i < 100; i++ {
-		if s.TrySubmit(img) {
-			accepted++
-		} else {
-			refused = true
-			break
-		}
-	}
-	if !refused {
-		t.Fatal("TrySubmit never refused with the sink gated shut")
-	}
-	// The workers keep dequeuing while we look, so the depth may already
-	// have dropped below the full mark that triggered the refusal; it can
-	// never exceed the cap.
-	if d := s.QueueDepth(); d > s.QueueCap() {
-		t.Fatalf("QueueDepth() = %d exceeds QueueCap() %d", d, s.QueueCap())
-	}
-
-	close(gate) // drain the backlog
-	for i := 0; i < accepted; i++ {
-		<-delivered
-	}
-	if !s.TrySubmit(img) {
-		t.Fatal("TrySubmit still refusing after the backlog drained")
-	}
-	accepted++
-	s.Close()
-	if seen != accepted {
-		t.Fatalf("delivered %d frames, accepted %d", seen, accepted)
-	}
-}
-
-// TestLabelStreamTrySubmitSingleWorker: the synchronous delegate never
-// queues, so TrySubmit always accepts and delivers inline.
-func TestLabelStreamTrySubmitSingleWorker(t *testing.T) {
-	n := 0
-	s := NewLabelStream(Options{}, 1, func(StreamResult) { n++ })
-	if s.QueueDepth() != 0 || s.QueueCap() != 0 {
-		t.Fatalf("single-worker queue accessors = %d/%d, want 0/0", s.QueueDepth(), s.QueueCap())
-	}
-	for i := 0; i < 5; i++ {
-		if !s.TrySubmit(bitmap.Random(8, 0.5, uint64(i))) {
-			t.Fatal("single-worker TrySubmit refused")
-		}
-	}
-	if n != 5 {
-		t.Fatalf("delivered %d frames inline, want 5", n)
-	}
-	s.Close()
 }

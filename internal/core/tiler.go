@@ -101,47 +101,29 @@ type StripRun struct {
 	PerPixel    []int32
 }
 
-// ComposeStrips stitches already-labeled strips into the whole-image
-// labeling result: runs[s] must be the whole-image run of the strip
-// covering columns [s·aw, min((s+1)·aw, w)) of img, where aw =
-// opt.ArrayWidth. The result — labels, composed metrics under
-// opt.Schedule, seam phases under opt.Seam, union–find report — is
-// bit-identical to Label(img, opt), which strip-mines through the same
-// composition.
-func ComposeStrips(img *bitmap.Bitmap, runs []StripRun, opt Options) (*Result, error) {
-	res, _, err := composeChecked(img, runs, nil, opt)
-	return res, err
-}
-
-// ComposeAggregateStrips is ComposeStrips for aggregation runs: each
-// run's PerPixel must hold the strip's own Corollary-4 fold under op,
-// and the stitch additionally combines the per-strip folds of
-// seam-crossing components. Bit-identical to Aggregate(img, initial,
-// op, opt) when the runs were aggregated over the matching windows of
-// initial.
-func ComposeAggregateStrips(img *bitmap.Bitmap, runs []StripRun, op Monoid, opt Options) (*AggregateResult, error) {
-	res, out, err := composeChecked(img, runs, &op, opt)
-	if err != nil {
-		return nil, err
-	}
-	return aggregateResult(res, out), nil
-}
-
-// composeChecked validates a ComposeStrips / ComposeAggregateStrips call
-// and composes the runs on a pooled labeler.
-func composeChecked(img *bitmap.Bitmap, runs []StripRun, op *Monoid, opt Options) (*Result, []int32, error) {
+// ComposeStrips stitches already-run strips into the whole-image
+// result: runs[s] must be the whole-image run of the strip covering
+// columns [s·aw, min((s+1)·aw, w)) of img, where aw = opt.ArrayWidth.
+// With op nil the runs are labelings; under op each run's PerPixel must
+// hold the strip's own Corollary 4 fold, and the stitch additionally
+// combines the per-strip folds of seam-crossing components. The result
+// — labels, per-pixel folds, composed metrics under opt.Schedule, seam
+// phases under opt.Seam, union–find report — is bit-identical to
+// Run(ctx, img, initial, op, opt), which strip-mines through the same
+// composition (when the runs were aggregated over the matching windows
+// of initial).
+func ComposeStrips(img *bitmap.Bitmap, runs []StripRun, op *Monoid, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if op != nil && op.Combine == nil {
-		return nil, nil, fmt.Errorf("core: monoid %q has no Combine", op.Name)
+		return nil, fmt.Errorf("core: monoid %q has no Combine", op.Name)
 	}
 	if err := checkCompose(img, runs, opt, op != nil); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	lb := labelerPool.Get().(*Labeler)
 	defer labelerPool.Put(lb)
 	lb.userOpt = opt
-	res, out := lb.composeStrips(img, runs, op, opt)
-	return res, out, nil
+	return lb.composeStrips(img, runs, op, opt), nil
 }
 
 // checkCompose validates a ComposeStrips call: a genuinely strip-mined
@@ -278,15 +260,14 @@ func stripTraceSpan(ctx context.Context, s int) *obs.Span {
 // runLarge executes a strip-mined run: Algorithm CC per strip when op is
 // nil, the Corollary 4 aggregation over initial otherwise (each strip
 // sees the contiguous column-major window of initial its columns own —
-// zero-copy, like the strip views themselves). It returns the composed
-// result and, on aggregation runs, the per-pixel folds. Callers
-// guarantee 0 < ArrayWidth < img.W() and, with op, validated
+// zero-copy, like the strip views themselves), then the compose.
+// Callers guarantee 0 < ArrayWidth < img.W() and, with op, validated
 // initial/op.
-func (lb *Labeler) runLarge(img *bitmap.Bitmap, initial []int32, op *Monoid) (*Result, []int32, error) {
+func (lb *Labeler) runLarge(img *bitmap.Bitmap, initial []int32, op *Monoid) (*Result, error) {
 	opt := lb.userOpt.withDefaults()
 	w, h := img.W(), img.H()
 	if err := opt.validate(w, h); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	aw := opt.ArrayWidth
 	strips := (w + aw - 1) / aw
@@ -324,7 +305,7 @@ func (lb *Labeler) runLarge(img *bitmap.Bitmap, initial []int32, op *Monoid) (*R
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	} else {
@@ -337,20 +318,19 @@ func (lb *Labeler) runLarge(img *bitmap.Bitmap, initial []int32, op *Monoid) (*R
 		defer func() { lb.userOpt = saved }()
 		for s := 0; s < strips; s++ {
 			if err := cancelCheck(lb.ctx); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			ssp := stripTraceSpan(lb.ctx, s)
 			run, err := lb.runStrip(img, initial, op, aw, s)
 			ssp.EndErr(err)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			runs[s] = run
 		}
 	}
 
-	res, out := lb.composeStrips(img, runs, op, opt)
-	return res, out, nil
+	return lb.composeStrips(img, runs, op, opt), nil
 }
 
 // runStrip runs strip s of an aw-column tiling of img as a whole-image
@@ -358,30 +338,24 @@ func (lb *Labeler) runLarge(img *bitmap.Bitmap, initial []int32, op *Monoid) (*R
 // strip's window of initial otherwise.
 func (lb *Labeler) runStrip(img *bitmap.Bitmap, initial []int32, op *Monoid, aw, s int) (StripRun, error) {
 	x0, sw := stripSpan(img.W(), aw, s)
-	view := img.StripView(x0, sw)
-	if op == nil {
-		res, err := lb.labelImage(view)
-		if err != nil {
-			return StripRun{}, err
-		}
-		return StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, Speculation: res.Speculation}, nil
+	if op != nil {
+		h := img.H()
+		initial = initial[x0*h : (x0+sw)*h]
 	}
-	h := img.H()
-	res, err := lb.aggregateImage(view, initial[x0*h:(x0+sw)*h], *op)
+	res, err := lb.runImage(img.StripView(x0, sw), initial, op)
 	if err != nil {
 		return StripRun{}, err
 	}
-	return StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, PerPixel: res.PerPixel}, nil
+	return StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, Speculation: res.Speculation, PerPixel: res.PerPixel}, nil
 }
 
 // composeStrips is the second half of a strip-mined run — globalize the
 // strip labelings, stitch the seams, compose the report under the
-// schedule model — shared by runLarge and the exported ComposeStrips /
-// ComposeAggregateStrips (whose runs arrive from remote backends). On
-// aggregation runs (op non-nil) it also places the strips' per-pixel
-// folds and the stitch combines the folds of seam-crossing components;
-// the folds are returned alongside, nil on label runs.
-func (lb *Labeler) composeStrips(img *bitmap.Bitmap, runs []StripRun, op *Monoid, opt Options) (*Result, []int32) {
+// schedule model — shared by runLarge and the exported ComposeStrips
+// (whose runs arrive from remote backends). On aggregation runs (op
+// non-nil) it also places the strips' per-pixel folds, and the stitch
+// combines the folds of seam-crossing components.
+func (lb *Labeler) composeStrips(img *bitmap.Bitmap, runs []StripRun, op *Monoid, opt Options) *Result {
 	w, h := img.W(), img.H()
 	aw := opt.ArrayWidth
 	global := bitmap.NewLabelMap(w, h)
@@ -401,7 +375,7 @@ func (lb *Labeler) composeStrips(img *bitmap.Bitmap, runs []StripRun, op *Monoid
 	if opt.Engine == EngineHost {
 		rep, spec := lb.composeHostStrips(img, global, runs, out, op, opt)
 		tsp.End()
-		return &Result{Labels: global, UF: rep, Speculation: spec}, out
+		return &Result{Labels: global, PerPixel: out, UF: rep, Speculation: spec}
 	}
 	seamPhases, seamStats, seamMem := lb.stitchSeams(img, global, out, op, aw, opt)
 	tsp.End()
@@ -424,13 +398,7 @@ func (lb *Labeler) composeStrips(img *bitmap.Bitmap, runs []StripRun, op *Monoid
 		comp.PEMemory = seamMem
 	}
 	finishStripUF(&rep, steps, ops, seamStats)
-	return &Result{Labels: global, Metrics: comp, UF: rep, Speculation: spec}, out
-}
-
-// aggregateResult pairs a composed strip-mined run with its per-pixel
-// folds.
-func aggregateResult(res *Result, out []int32) *AggregateResult {
-	return &AggregateResult{PerPixel: out, Labels: res.Labels, Metrics: res.Metrics, UF: res.UF}
+	return &Result{Labels: global, PerPixel: out, Metrics: comp, UF: rep, Speculation: spec}
 }
 
 // ensureStripPool returns the labeler's cached strip-worker pool,
@@ -583,7 +551,6 @@ func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, global *bitmap.LabelMap, out 
 		if sc.forest == nil {
 			sc.forest = unionfind.NewForest(0, unionfind.LinkBySize, unionfind.CompressFull)
 			sc.meter = unionfind.NewMeter(sc.forest)
-			sc.meter.DisableHistogram()
 		}
 		sc.forest.Reset(len(sc.vals))
 		sc.meter.ResetStats()

@@ -374,7 +374,7 @@ const (
 
 // aggEqual compares two aggregation results bit for bit (labels and
 // per-pixel folds).
-func aggEqual(a, b *AggregateResult) bool {
+func aggEqual(a, b *Result) bool {
 	if !a.Labels.Equal(b.Labels) || len(a.PerPixel) != len(b.PerPixel) {
 		return false
 	}
@@ -518,10 +518,10 @@ func TestAggregateLargeDeterministicAcrossModes(t *testing.T) {
 	}
 	warm := NewLabeler(base)
 	warm.Label(bitmap.Random(21, 0.4, 5)) // dirty the arenas first
-	cases := map[string]func() (*AggregateResult, error){
-		"repeat": func() (*AggregateResult, error) { return Aggregate(img, initial, Sum(), base) },
-		"warm":   func() (*AggregateResult, error) { return warm.Aggregate(img, initial, Sum()) },
-		"pool3": func() (*AggregateResult, error) {
+	cases := map[string]func() (*Result, error){
+		"repeat": func() (*Result, error) { return Aggregate(img, initial, Sum(), base) },
+		"warm":   func() (*Result, error) { return warm.Aggregate(img, initial, Sum()) },
+		"pool3": func() (*Result, error) {
 			opt := base
 			opt.StripWorkers = 3
 			return Aggregate(img, initial, Sum(), opt)

@@ -283,7 +283,7 @@ func e6() Experiment {
 	}
 }
 
-func checkAggregate(img *bitmap.Bitmap, initial []int32, op core.Monoid, got *core.AggregateResult) error {
+func checkAggregate(img *bitmap.Bitmap, initial []int32, op core.Monoid, got *core.Result) error {
 	want := seqcc.AggregateRef(img, initial, op.Combine, op.Identity)
 	for i := range want {
 		if got.PerPixel[i] != want[i] {

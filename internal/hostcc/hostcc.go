@@ -211,7 +211,7 @@ func (lb *Labeler) Summary(img *bitmap.Bitmap, conn bitmap.Connectivity) Stats {
 // background positions hold identity. initial is indexed by
 // column-major position and must have length W·H (the caller
 // validates). Values are bit-identical to the simulator's
-// AggregateResult.PerPixel.
+// Result.PerPixel.
 func (lb *Labeler) Aggregate(img *bitmap.Bitmap, initial []int32, identity int32, combine func(a, b int32) int32, conn bitmap.Connectivity) (*bitmap.LabelMap, []int32, Stats) {
 	w, h := img.W(), img.H()
 	// Like Label, pass B writes every label slot (runs and gaps), so the

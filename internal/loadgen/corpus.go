@@ -94,7 +94,7 @@ func same(what string, got, want []int32) error {
 }
 
 // Expect computes in process, with engine, the answer a server owes
-// img under p: LabelLarge for a label request, or AggregateLarge of the
+// img under p: LabelWithOptions for a label request, or Aggregate of the
 // all-ones labeling under sum (component areas) for Op "sum". The
 // options come from p exactly as slapd resolves them, so strip width,
 // schedule and cost model match what the service ran; with ArrayWidth
@@ -116,13 +116,13 @@ func Expect(img *slapcc.Bitmap, p api.Params, engine slapcc.Engine) (*Want, erro
 	var steps int64
 	switch p.Op {
 	case "":
-		res, err := slapcc.LabelLarge(img, opt)
+		res, err := slapcc.LabelWithOptions(img, opt)
 		if err != nil {
 			return nil, err
 		}
 		lm, steps = res.Labels, res.Metrics.Time
 	case "sum":
-		res, err := slapcc.AggregateLarge(img, slapcc.OnesOf(img), slapcc.SumOf(), opt)
+		res, err := slapcc.Aggregate(img, slapcc.OnesOf(img), slapcc.SumOf(), opt)
 		if err != nil {
 			return nil, err
 		}

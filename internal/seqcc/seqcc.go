@@ -1,11 +1,11 @@
-// Package seqcc provides sequential connected-component labelers for an
-// n×n binary image under 4-connectivity: the ground truth every SLAP
-// algorithm in this repository is validated against, plus the classic
-// uniprocessor baselines the paper cites (Schwartz–Sharir–Siegel and
-// Dillencourt–Samet–Tamminen label images in time linear in the pixel
-// count when pixels arrive in scan order; see the paper's §1).
+// Package seqcc is the sequential ground truth every labeler in this
+// repository is validated against: BFS, a flood-fill labeler under 4- or
+// 8-connectivity, plus the checks, summaries and the Corollary 4
+// aggregation reference built on it. The run-based linear-time labeler
+// of the kind the paper's §1 cites (Schwartz–Sharir–Siegel,
+// Dillencourt–Samet–Tamminen) is the host engine, internal/hostcc.
 //
-// All labelers produce the same canonical labeling as Algorithm CC: every
+// BFS produces the same canonical labeling as Algorithm CC: every
 // component is labeled with the least column-major position (x·H + y) of
 // its pixels, and background pixels carry bitmap.Background. Outputs are
 // therefore comparable with ==, not merely up to renaming.
@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"slapcc/internal/bitmap"
-	"slapcc/internal/unionfind"
 )
 
 // BFS labels 4-connected components by flood fill, visiting seeds in
@@ -55,131 +54,6 @@ func BFSConn(b *bitmap.Bitmap, conn bitmap.Connectivity) *bitmap.LabelMap {
 		}
 	}
 	return lm
-}
-
-// TwoPass is the classic union–find labeler: pass one scans rows,
-// assigning provisional labels and recording equivalences between the
-// left and upper neighbors; pass two resolves labels through the
-// union–find structure. A final normalization rewrites every component to
-// its least column-major position.
-func TwoPass(b *bitmap.Bitmap) *bitmap.LabelMap {
-	w, h := b.W(), b.H()
-	lm := bitmap.NewLabelMap(w, h)
-	if w == 0 || h == 0 {
-		return lm
-	}
-	uf := unionfind.New(w * h)
-	prov := make([]int32, w*h) // provisional label per pixel index (row-major scan)
-	for i := range prov {
-		prov[i] = bitmap.Background
-	}
-	idx := func(x, y int) int { return x*h + y }
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if !b.Get(x, y) {
-				continue
-			}
-			left, up := int32(bitmap.Background), int32(bitmap.Background)
-			if x > 0 && b.Get(x-1, y) {
-				left = prov[idx(x-1, y)]
-			}
-			if y > 0 && b.Get(x, y-1) {
-				up = prov[idx(x, y-1)]
-			}
-			switch {
-			case left == bitmap.Background && up == bitmap.Background:
-				prov[idx(x, y)] = int32(idx(x, y))
-			case left != bitmap.Background && up == bitmap.Background:
-				prov[idx(x, y)] = left
-			case left == bitmap.Background:
-				prov[idx(x, y)] = up
-			default:
-				prov[idx(x, y)] = left
-				uf.Union(int(left), int(up))
-			}
-		}
-	}
-	normalizeRoots(b, lm, uf, func(x, y int) int { return int(prov[idx(x, y)]) })
-	return lm
-}
-
-// run is a maximal horizontal segment of 1-pixels within one row.
-type run struct {
-	x0, x1 int // inclusive column span
-	set    int // union-find element
-}
-
-// RunBased labels components by run-length merging in scan order, the
-// structure of the linear-time sequential algorithms the paper cites:
-// each row is reduced to runs, and runs are unioned with the overlapping
-// runs of the previous row.
-func RunBased(b *bitmap.Bitmap) *bitmap.LabelMap {
-	w, h := b.W(), b.H()
-	lm := bitmap.NewLabelMap(w, h)
-	if w == 0 || h == 0 {
-		return lm
-	}
-	uf := unionfind.New(w * h)
-	runSet := make([]int32, w*h) // pixel index -> its run's set element
-	var prev, cur []run
-	for y := 0; y < h; y++ {
-		cur = cur[:0]
-		for x := 0; x < w; x++ {
-			if !b.Get(x, y) {
-				continue
-			}
-			x0 := x
-			for x+1 < w && b.Get(x+1, y) {
-				x++
-			}
-			cur = append(cur, run{x0: x0, x1: x, set: x0*h + y})
-		}
-		// Union with overlapping runs of the previous row (two-pointer).
-		pi := 0
-		for _, r := range cur {
-			for pi < len(prev) && prev[pi].x1 < r.x0 {
-				pi++
-			}
-			for j := pi; j < len(prev) && prev[j].x0 <= r.x1; j++ {
-				uf.Union(r.set, prev[j].set)
-			}
-		}
-		for _, r := range cur {
-			for x := r.x0; x <= r.x1; x++ {
-				runSet[x*h+y] = int32(r.set)
-			}
-		}
-		prev = append(prev[:0], cur...)
-	}
-	normalizeRoots(b, lm, uf, func(x, y int) int { return int(runSet[x*h+y]) })
-	return lm
-}
-
-// normalizeRoots assigns canonical least-position labels: it computes the
-// minimum column-major position per union-find root and writes it to
-// every member pixel.
-func normalizeRoots(b *bitmap.Bitmap, lm *bitmap.LabelMap, uf unionfind.UnionFind, elem func(x, y int) int) {
-	w, h := b.W(), b.H()
-	minPos := make(map[int]int32)
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			if !b.Get(x, y) {
-				continue
-			}
-			root := uf.Find(elem(x, y))
-			pos := int32(x*h + y)
-			if m, ok := minPos[root]; !ok || pos < m {
-				minPos[root] = pos
-			}
-		}
-	}
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			if b.Get(x, y) {
-				lm.Set(x, y, minPos[uf.Find(elem(x, y))])
-			}
-		}
-	}
 }
 
 // Check verifies that lm is exactly the canonical 4-connected component

@@ -5,13 +5,20 @@ import (
 	"testing/quick"
 
 	"slapcc/internal/bitmap"
+	"slapcc/internal/hostcc"
 )
+
+// hostLabel labels b with the run-based host labeler: an independent
+// implementation to hold the BFS oracle against.
+func hostLabel(b *bitmap.Bitmap) *bitmap.LabelMap {
+	lm, _ := hostcc.NewLabeler().Label(b, bitmap.Conn4)
+	return lm
+}
 
 // labelers under test, all of which must produce identical canonical maps.
 var labelers = map[string]func(*bitmap.Bitmap) *bitmap.LabelMap{
-	"bfs":     BFS,
-	"twopass": TwoPass,
-	"runs":    RunBased,
+	"bfs":    BFS,
+	"hostcc": hostLabel,
 }
 
 func TestEmptyImage(t *testing.T) {
@@ -117,7 +124,7 @@ func TestCheckerComponentCounts(t *testing.T) {
 
 func TestCheckAcceptsAndRejects(t *testing.T) {
 	b := bitmap.Random(20, 0.5, 77)
-	lm := TwoPass(b)
+	lm := hostLabel(b)
 	if err := Check(b, lm); err != nil {
 		t.Fatalf("Check rejected a correct labeling: %v", err)
 	}
@@ -207,7 +214,7 @@ func TestAggregateRefValidatesLength(t *testing.T) {
 	AggregateRef(bitmap.Empty(4), make([]int32, 3), func(a, c int32) int32 { return a }, 0)
 }
 
-// Property: all three labelers agree on random images, and the labeling
+// Property: the labelers agree on random images, and the labeling
 // satisfies the canonical-label property (label equals least position).
 func TestLabelersAgreeQuick(t *testing.T) {
 	f := func(seed uint32, np, dp uint8) bool {
@@ -215,7 +222,7 @@ func TestLabelersAgreeQuick(t *testing.T) {
 		density := float64(dp%11) / 10
 		b := bitmap.Random(n, density, uint64(seed))
 		ref := BFS(b)
-		if !TwoPass(b).Equal(ref) || !RunBased(b).Equal(ref) {
+		if !hostLabel(b).Equal(ref) {
 			return false
 		}
 		// Canonical property: every label is the least position in its class.
@@ -259,7 +266,7 @@ func TestRectangularQuick(t *testing.T) {
 			}
 		}
 		ref := BFS(b)
-		return TwoPass(b).Equal(ref) && RunBased(b).Equal(ref)
+		return hostLabel(b).Equal(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

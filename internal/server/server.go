@@ -612,22 +612,7 @@ func (s *Server) runOne(ctx context.Context, img *bitmap.Bitmap, p api.Params, o
 	// the simulator ignores it). Server-side verification still needs
 	// the labels to check; aggregation runs need them for the folds.
 	opt.SkipLabels = op == nil && !p.WantLabels && !s.cfg.Verify
-	// Materializing the response (summarizing, flattening the label map)
-	// is part of producing the answer — the span closes after it, so the
-	// stage decomposition accounts for the handler's real wall time.
-	var labels *bitmap.LabelMap
-	var out any
-	if op == nil {
-		var res *core.Result
-		if res, err = s.pool.LabelWithCtx(ctx, img, opt); err == nil {
-			labels, out = res.Labels, ToLabelResponse(res, p.WantLabels)
-		}
-	} else {
-		var res *core.AggregateResult
-		if res, err = s.pool.AggregateWithCtx(ctx, img, initial, *op, opt); err == nil {
-			labels, out = res.Labels, ToAggregateResponse(res, op.Name, p.WantLabels)
-		}
-	}
+	res, err := s.pool.RunWith(ctx, img, initial, op, opt)
 	if err != nil {
 		rsp.EndErr(err)
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -638,20 +623,32 @@ func (s *Server) runOne(ctx context.Context, img *bitmap.Bitmap, p api.Params, o
 		}
 		return nil, http.StatusBadRequest, err
 	}
+	if testRunHook != nil {
+		testRunHook(res)
+	}
 	if s.cfg.Verify {
 		conn := opt.Connectivity
 		if conn == 0 {
 			conn = bitmap.Conn4
 		}
-		if err := seqcc.CheckConn(img, labels, conn); err != nil {
+		if err := seqcc.CheckConn(img, res.Labels, conn); err != nil {
 			err = fmt.Errorf("verification failed: %w", err)
 			rsp.EndErr(err)
 			return nil, http.StatusInternalServerError, err
 		}
 	}
+	// Materializing the response (summarizing, flattening the label map)
+	// is part of producing the answer — the span closes after it, so the
+	// stage decomposition accounts for the handler's real wall time.
+	out := Answer(ToAggregateResponse(res, op, p.WantLabels), op)
 	rsp.End()
 	return out, 0, nil
 }
+
+// testRunHook, when set by a test, sees every completed run's result
+// before verification and response shaping — the verify tests use it
+// to corrupt an answer the engine got right.
+var testRunHook func(*core.Result)
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	p, err := api.ParamsFromQuery(r.URL.Query())
@@ -765,10 +762,17 @@ func (s *Server) decodePart(part *multipart.Part, p api.Params) (*bitmap.Bitmap,
 	return imageio.DecodeBytes(data, format, s.cfg.Limits)
 }
 
-// ToLabelResponse converts a core result to the wire form — exported
-// so the slapfront coordinator answers composed runs with byte-for-byte
-// the JSON a local slapd would have produced.
+// ToLabelResponse converts a label run's result to the wire form.
 func ToLabelResponse(res *core.Result, wantLabels bool) *api.LabelResponse {
+	return &ToAggregateResponse(res, nil, wantLabels).LabelResponse
+}
+
+// ToAggregateResponse converts a run's result to the wire form: the
+// label response, and under op the op name and (with labels) the
+// per-pixel folds; with op nil both stay empty. Exported so the
+// slapfront coordinator shapes composed runs and local fallbacks into
+// byte-for-byte the JSON a local slapd would have produced.
+func ToAggregateResponse(res *core.Result, op *core.Monoid, wantLabels bool) *api.AggregateResponse {
 	lm := res.Labels
 	var st seqcc.Stats
 	w, h := 0, 0
@@ -787,7 +791,7 @@ func ToLabelResponse(res *core.Result, wantLabels bool) *api.LabelResponse {
 	} else {
 		st = seqcc.Summarize(lm)
 	}
-	out := &api.LabelResponse{
+	resp := &api.AggregateResponse{LabelResponse: api.LabelResponse{
 		Width:      w,
 		Height:     h,
 		Foreground: st.Foreground,
@@ -809,7 +813,11 @@ func ToLabelResponse(res *core.Result, wantLabels bool) *api.LabelResponse {
 			MaxOpCost:  res.UF.MaxOpCost,
 			MeanOpCost: res.UF.MeanOpCost,
 		},
+	}}
+	if op != nil {
+		resp.Op = op.Name
 	}
+	out := &resp.LabelResponse
 	for _, ph := range res.Metrics.Phases {
 		out.Metrics.Phases = append(out.Metrics.Phases, api.PhaseMetrics{
 			Name:     ph.Name,
@@ -826,18 +834,16 @@ func ToLabelResponse(res *core.Result, wantLabels bool) *api.LabelResponse {
 			labels = append(labels, lm.ColumnSlice(x)...)
 		}
 		out.Labels = labels
+		resp.PerPixel = res.PerPixel
 	}
-	return out
+	return resp
 }
 
-// ToAggregateResponse is ToLabelResponse for aggregation runs.
-func ToAggregateResponse(res *core.AggregateResult, opName string, wantLabels bool) *api.AggregateResponse {
-	resp := &api.AggregateResponse{
-		LabelResponse: *ToLabelResponse(&core.Result{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, Summary: res.Summary}, wantLabels),
-		Op:            opName,
-	}
-	if wantLabels {
-		resp.PerPixel = res.PerPixel
+// Answer is the JSON body answering resp: the label response alone on
+// label runs (op nil), the whole aggregate response under op.
+func Answer(resp *api.AggregateResponse, op *core.Monoid) any {
+	if op == nil {
+		return &resp.LabelResponse
 	}
 	return resp
 }

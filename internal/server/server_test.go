@@ -192,8 +192,8 @@ func TestAggregateEndpoint(t *testing.T) {
 	}
 
 	// array= strip-mines the aggregation (the PR 4 refusal is gone): the
-	// per-pixel folds and labels must pin against in-process
-	// AggregateLarge, whose values equal the whole-image run's.
+	// per-pixel folds and labels must pin against the in-process
+	// strip-mined Aggregate, whose values equal the whole-image run's.
 	wantStrip, err := core.Aggregate(img, core.Ones(img), core.Sum(), core.Options{ArrayWidth: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -685,5 +685,37 @@ func TestVerifyMode(t *testing.T) {
 	want := postImage(t, New(Config{Workers: 1}), api.PathAggregate, img, imageio.FormatRaw, p)
 	if got.Body.String() != want.Body.String() {
 		t.Fatalf("verify changed the aggregate answer:\n got %s\nwant %s", got.Body.String(), want.Body.String())
+	}
+
+	// A wrong answer must not be served: with one label corrupted after
+	// the run, both a plain label run and a strip-mined aggregate fail
+	// verification with a 500.
+	testRunHook = corruptOneLabel
+	defer func() { testRunHook = nil }()
+	for _, tc := range []struct {
+		path string
+		p    api.Params
+	}{
+		{api.PathLabel, api.Params{}},
+		{api.PathAggregate, p},
+	} {
+		rec := postImage(t, s, tc.path, img, imageio.FormatRaw, tc.p)
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "verification failed") {
+			t.Fatalf("%s with a corrupted label: %d %s, want 500 verification failed", tc.path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// corruptOneLabel moves the first foreground pixel of a run's labeling
+// off its component's label.
+func corruptOneLabel(res *core.Result) {
+	lm := res.Labels
+	for x := 0; x < lm.W(); x++ {
+		for y := 0; y < lm.H(); y++ {
+			if l := lm.Get(x, y); l != bitmap.Background {
+				lm.Set(x, y, l+1)
+				return
+			}
+		}
 	}
 }

@@ -19,13 +19,6 @@ type Meter struct {
 	unionSteps    int64
 	maxFind       int64
 	maxUnion      int64
-	// histOff disables the cost histogram (DisableHistogram): callers
-	// that only consume Stats/MaxOpCost — the simulator's hot path —
-	// skip the per-operation bucketing.
-	histOff bool
-	// hist[b] counts operations whose cost c satisfies 2^b ≤ c < 2^(b+1),
-	// with bucket 0 holding c ≤ 1.
-	hist [32]int64
 }
 
 var _ UnionFind = (*Meter)(nil)
@@ -54,25 +47,6 @@ func (m *Meter) ResetStats() {
 	m.finds, m.unions = 0, 0
 	m.findSteps, m.unionSteps = 0, 0
 	m.maxFind, m.maxUnion = 0, 0
-	m.hist = [32]int64{}
-}
-
-// DisableHistogram turns off per-operation cost bucketing; Histogram
-// then reports empty. Stats and MaxOpCost are unaffected.
-func (m *Meter) DisableHistogram() { m.histOff = true }
-
-func (m *Meter) bucket(cost int64) {
-	if m.histOff {
-		return
-	}
-	b := 0
-	if cost > 1 {
-		b = mbits.Len64(uint64(cost)) - 1
-	}
-	if b >= len(m.hist) {
-		b = len(m.hist) - 1
-	}
-	m.hist[b]++
 }
 
 // Find forwards to the wrapped structure, recording the operation cost.
@@ -114,7 +88,6 @@ func (m *Meter) FindCost(x int) (r int, cost int64) {
 	if cost > m.maxFind {
 		m.maxFind = cost
 	}
-	m.bucket(cost)
 	return r, cost
 }
 
@@ -126,15 +99,15 @@ func (m *Meter) FindCost(x int) (r int, cost int64) {
 // simulator's local phases (find-all, assign, merge) charge millions of
 // metered operations without a wrapper call per operation. The batch
 // fast path requires a forest-backed structure with full compression
-// and the histogram off (the simulator's configuration); anything else
-// falls back to per-operation FindCost, bit-identically.
+// (the simulator's configuration); anything else falls back to
+// per-operation FindCost, bit-identically.
 
 // FindCostBitset runs Find on element j for every set bit j of bits
 // (bit j%64 of word j/64), ascending, and returns the operation count
 // and total charged steps. When roots is non-nil, roots[j] receives
 // element j's root.
 func (m *Meter) FindCostBitset(bits []uint64, roots []int32) (ops, steps int64) {
-	if f := m.forest; f != nil && f.comp == CompressFull && m.histOff {
+	if f := m.forest; f != nil && f.comp == CompressFull {
 		var max int64
 		if f.small {
 			ops, steps, max = findBitsetG(f.parent16, bits, roots)
@@ -165,7 +138,7 @@ func (m *Meter) FindCostBitset(bits []uint64, roots []int32) (ops, steps int64) 
 // with the charges; the finds themselves neither read nor affect
 // anything the sends touch, so running them as one batch is invisible).
 func (m *Meter) FindCostBitsetInto(bits []uint64, roots, costs []int32) {
-	if f := m.forest; f != nil && f.comp == CompressFull && m.histOff {
+	if f := m.forest; f != nil && f.comp == CompressFull {
 		var ops, steps, max int64
 		if f.small {
 			ops, steps, max = findBitsetIntoG(f.parent16, bits, roots, costs)
@@ -189,7 +162,7 @@ func (m *Meter) FindCostBitsetInto(bits []uint64, roots, costs []int32) {
 // FindCostSeq runs Find on each ids[k] in order; roots[k] receives the
 // result when roots is non-nil (it must then be at least as long).
 func (m *Meter) FindCostSeq(ids, roots []int32) (ops, steps int64) {
-	if f := m.forest; f != nil && f.comp == CompressFull && m.histOff {
+	if f := m.forest; f != nil && f.comp == CompressFull {
 		var max int64
 		if f.small {
 			ops, steps, max = findSeqG(f.parent16, ids, roots)
@@ -213,7 +186,7 @@ func (m *Meter) FindCostSeq(ids, roots []int32) (ops, steps int64) {
 // FindCostRange runs Find on elements 0..n-1 in order; roots[k]
 // receives element k's root when roots is non-nil.
 func (m *Meter) FindCostRange(n int, roots []int32) (ops, steps int64) {
-	if f := m.forest; f != nil && f.comp == CompressFull && m.histOff {
+	if f := m.forest; f != nil && f.comp == CompressFull {
 		var max int64
 		if f.small {
 			ops, steps, max = findRangeG(f.parent16, n, roots)
@@ -244,7 +217,7 @@ type Pair struct{ X, Y int32 }
 // must use UnionCost; this entry serves charge-only loops like the
 // merge step's edge replay.
 func (m *Meter) UnionCostPairs(pairs []Pair) (ops, steps int64) {
-	if f := m.forest; f != nil && f.comp == CompressFull && f.link == LinkBySize && m.histOff {
+	if f := m.forest; f != nil && f.comp == CompressFull && f.link == LinkBySize {
 		var max, united int64
 		if f.small {
 			steps, max, united = unionPairsG(f.parent16, f.weight16, pairs)
@@ -314,7 +287,6 @@ func (m *Meter) UnionCost(x, y int) (root, a, b int, united bool, cost int64) {
 	if cost > m.maxUnion {
 		m.maxUnion = cost
 	}
-	m.bucket(cost)
 	return root, a, b, united, cost
 }
 
@@ -366,18 +338,4 @@ func (m *Meter) MeanOpCost() float64 {
 		return 0
 	}
 	return float64(m.findSteps+m.unionSteps) / float64(ops)
-}
-
-// Histogram returns the cost histogram: bucket b counts operations with
-// cost in [2^b, 2^(b+1)) (bucket 0: cost ≤ 1), trimmed of trailing zeros.
-func (m *Meter) Histogram() []int64 {
-	last := -1
-	for i, v := range m.hist {
-		if v != 0 {
-			last = i
-		}
-	}
-	out := make([]int64, last+1)
-	copy(out, m.hist[:last+1])
-	return out
 }

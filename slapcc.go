@@ -76,8 +76,8 @@ const (
 // (Tarjan union–find, unit-cost word links, input phase included).
 type Options = core.Options
 
-// Result is a labeling run's output: labels, machine metrics, and the
-// union–find report.
+// Result is a run's output: labels, machine metrics, and the union–find
+// report, plus the per-pixel folds on Aggregate runs.
 type Result = core.Result
 
 // Metrics is the simulated machine's accounting (total time, per-phase
@@ -124,9 +124,6 @@ const (
 	ScheduleSequential = core.ScheduleSequential // default: strips back to back
 	SchedulePipelined  = core.SchedulePipelined  // overlap inputs under compute
 )
-
-// AggregateResult is Aggregate's output.
-type AggregateResult = core.AggregateResult
 
 // UFKind names a union–find implementation.
 type UFKind = unionfind.Kind
@@ -188,28 +185,28 @@ func NewLabelStream(opt Options, workers int, sink func(StreamResult)) *LabelStr
 func Label(img *Bitmap) (*Result, error) { return core.Label(img, Options{}) }
 
 // LabelWithOptions runs Algorithm CC on img with explicit options.
+//
+// An image wider than the physical array strip-mines: with 0 <
+// opt.ArrayWidth < img.W(), the image is partitioned into vertical
+// strips of at most ArrayWidth columns, each strip runs Algorithm CC on
+// the fixed-width machine (zero-copy views over one warm arena set, or
+// fanned across opt.StripWorkers worker labelers), and the
+// strip-boundary seams are stitched by a host-side union–find pass that
+// relabels to the global canonical least column-major labels. The
+// labeling is bit-identical to a whole-image run's; the composed
+// metrics follow the selected Options.Seam and Options.Schedule models
+// (see docs/METRICS.md). With ArrayWidth 0 the array is as wide as the
+// image.
 func LabelWithOptions(img *Bitmap, opt Options) (*Result, error) { return core.Label(img, opt) }
-
-// LabelLarge labels an image wider than the physical array by
-// strip-mining: with 0 < opt.ArrayWidth < img.W(), the image is
-// partitioned into vertical strips of at most ArrayWidth columns, each
-// strip runs Algorithm CC on the fixed-width machine (zero-copy views
-// over one warm arena set, or fanned across opt.StripWorkers worker
-// labelers), and the strip-boundary seams are stitched by a host-side
-// union–find pass that relabels to the global canonical least
-// column-major labels. The labeling is bit-identical to a whole-image
-// run's; the composed metrics follow a documented sequential schedule
-// model (strips execute back to back on the one array; the stitch is
-// charged as a "seam-merge" phase). With ArrayWidth 0 it is exactly
-// Label: the array is as wide as the image.
-func LabelLarge(img *Bitmap, opt Options) (*Result, error) { return core.Label(img, opt) }
 
 // Aggregate labels every component of img with the op-fold of the
 // initial per-pixel labels over the whole component (the paper's
-// Corollary 4 extension). initial is indexed by column-major position.
-// With 0 < opt.ArrayWidth < img.W() the run strip-mines onto the
-// fixed-width array (see AggregateLarge); results are identical.
-func Aggregate(img *Bitmap, initial []int32, op Monoid, opt Options) (*AggregateResult, error) {
+// Corollary 4 extension), returned in Result.PerPixel. initial is
+// indexed by column-major position. With 0 < opt.ArrayWidth < img.W()
+// the run strip-mines like LabelWithOptions, and the seam stitch also
+// combines the per-strip folds of seam-crossing components under op;
+// per-pixel folds and labels are bit-identical at every array width.
+func Aggregate(img *Bitmap, initial []int32, op Monoid, opt Options) (*Result, error) {
 	return core.Aggregate(img, initial, op, opt)
 }
 
@@ -218,18 +215,6 @@ func Aggregate(img *Bitmap, initial []int32, op Monoid, opt Options) (*Aggregate
 // distributed relabel) — the strip-mining overhead term next to the
 // strips' own labeling time. Zero on whole-image runs.
 func SeamTime(m Metrics) int64 { return core.SeamTime(m) }
-
-// AggregateLarge runs the Corollary 4 aggregation on an image wider
-// than the physical array by strip-mining, exactly as LabelLarge does
-// for labeling: per-strip aggregation over zero-copy strip views, then
-// a seam stitch that merges seam-crossing components and combines their
-// per-strip folds under op. Per-pixel folds and labels are bit-identical
-// to a whole-image run at every array width; composed metrics follow
-// the selected Options.Seam and Options.Schedule models (see
-// docs/METRICS.md). With ArrayWidth 0 it is exactly Aggregate.
-func AggregateLarge(img *Bitmap, initial []int32, op Monoid, opt Options) (*AggregateResult, error) {
-	return core.Aggregate(img, initial, op, opt)
-}
 
 // MinOf returns the minimum monoid (Corollary 4's operator).
 func MinOf() Monoid { return core.Min() }

@@ -183,7 +183,7 @@ func TestPublicLabelLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := LabelLarge(img, Options{ArrayWidth: 24, StripWorkers: 2})
+	res, err := LabelWithOptions(img, Options{ArrayWidth: 24, StripWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestPublicLabelLarge(t *testing.T) {
 		t.Fatalf("seam-merge phase missing or empty: %+v ok=%v", p, ok)
 	}
 	// ArrayWidth 0 stays the whole-image path, bit for bit.
-	zero, err := LabelLarge(img, Options{})
+	zero, err := LabelWithOptions(img, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

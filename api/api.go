@@ -8,8 +8,6 @@
 //
 //	POST /v1/label        one image in the body → LabelResponse
 //	POST /v1/aggregate    one image in the body → AggregateResponse
-//	POST /v1/label/batch  multipart/form-data, one image per part →
-//	                      BatchResponse (results in part order)
 //	GET  /healthz         200 HealthResponse while serving, 503 once
 //	                      draining (the body carries queue depth, so a
 //	                      coordinator can route by load)
@@ -17,7 +15,7 @@
 //
 // Image bodies may be PNG, plain PBM (P1), ASCII art, or the SLR1
 // packed-bitset format; the format is sniffed from the content unless
-// pinned by the "format" query parameter or the part/request
+// pinned by the "format" query parameter or the request
 // Content-Type. Labeling options ride query parameters (see Params).
 // When the service's admission queue is full it answers 429 with a
 // Retry-After header (whole seconds); everything else non-2xx carries a
@@ -41,7 +39,6 @@ import (
 const (
 	PathLabel     = "/v1/label"
 	PathAggregate = "/v1/aggregate"
-	PathBatch     = "/v1/label/batch"
 	PathHealthz   = "/healthz"
 	PathMetrics   = "/metrics"
 )
@@ -126,8 +123,8 @@ func ParseDeadline(h string) (remaining time.Duration, ok bool) {
 // links, array as wide as the image).
 type Params struct {
 	// Format pins the body codec: "png", "pbm", "art", "raw", or
-	// "auto"/"" to sniff. Batch parts may override it per part via their
-	// Content-Type.
+	// "auto"/"" to take the request's Content-Type or, failing that,
+	// sniff the body.
 	Format string
 	// Connectivity is 4 or 8 (0 = the paper's 4).
 	Connectivity int
@@ -316,24 +313,6 @@ type AggregateResponse struct {
 	// (identity on background), present only when requested with
 	// labels=1.
 	PerPixel []int32 `json:"per_pixel,omitempty"`
-}
-
-// BatchItem is one frame's outcome within a batch.
-type BatchItem struct {
-	// Index is the zero-based multipart part index; results are
-	// returned in part order.
-	Index int `json:"index"`
-	// Error is the per-frame failure, empty on success.
-	Error string `json:"error,omitempty"`
-	// Result is nil when Error is set.
-	Result *LabelResponse `json:"result,omitempty"`
-}
-
-// BatchResponse is the outcome of /v1/label/batch.
-type BatchResponse struct {
-	Frames  int         `json:"frames"`
-	Errors  int         `json:"errors"`
-	Results []BatchItem `json:"results"`
 }
 
 // HealthResponse is the /healthz body: 200 with Status "ok" while

@@ -223,45 +223,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkLabelStream measures aggregate frame throughput of the
-// multicore frame-streaming subsystem against the single reused
-// Labeler: "single" is one worker (the synchronous delegate),
-// "gomaxprocs" shards the same stream across one worker labeler per
-// core. On a 1-core host the two coincide (the stream delegates); on
-// multicore hosts the sharded stream's MB/s should approach
-// single × cores.
-func BenchmarkLabelStream(b *testing.B) {
-	const n, frames = 256, 16
-	stream := make([]*bitmap.Bitmap, frames)
-	for i := range stream {
-		stream[i] = bitmap.Random(n, 0.5, uint64(i+1))
-	}
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"single", 1}, {"gomaxprocs", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(frames * n * n))
-			s := core.NewLabelStream(core.Options{}, mode.workers, func(r core.StreamResult) {
-				if r.Err != nil {
-					b.Error(r.Err)
-				}
-			})
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, img := range stream {
-					s.Submit(img)
-				}
-			}
-			// The deferred Close drains in-flight frames inside the timed
-			// window; per-iteration draining would serialize the pipeline
-			// at every loop boundary instead.
-		})
-	}
-}
-
 // BenchmarkUnionFindKinds measures host-side op throughput per structure,
 // reusing one structure via Reset the way the simulator does.
 func BenchmarkUnionFindKinds(b *testing.B) {

@@ -40,9 +40,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"mime/multipart"
 	"net/http"
-	"net/textproto"
 	"strconv"
 	"strings"
 	"sync"
@@ -210,53 +208,6 @@ func (c *Client) Aggregate(ctx context.Context, img *slapcc.Bitmap, p api.Params
 func (c *Client) AggregateData(ctx context.Context, data []byte, contentType string, p api.Params) (*api.AggregateResponse, error) {
 	var out api.AggregateResponse
 	if err := c.post(ctx, api.PathAggregate, p, data, contentType, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Frame is one pre-encoded batch member.
-type Frame struct {
-	// Data is the encoded image body.
-	Data []byte
-	// ContentType pins the part's codec; empty falls back to the
-	// batch-level p.Format (or sniffing).
-	ContentType string
-}
-
-// EncodeFrame serializes img as a batch Frame in format ("" = raw).
-func EncodeFrame(img *slapcc.Bitmap, format string) (Frame, error) {
-	data, ct, err := EncodeImage(img, format)
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{Data: data, ContentType: ct}, nil
-}
-
-// LabelBatch labels frames in one request; results come back in frame
-// order (api.BatchResponse.Results[i] is frames[i]).
-func (c *Client) LabelBatch(ctx context.Context, frames []Frame, p api.Params) (*api.BatchResponse, error) {
-	var body bytes.Buffer
-	mw := multipart.NewWriter(&body)
-	for i, f := range frames {
-		hdr := textproto.MIMEHeader{}
-		hdr.Set("Content-Disposition", fmt.Sprintf(`form-data; name="frame%d"; filename="frame%d"`, i, i))
-		if f.ContentType != "" {
-			hdr.Set("Content-Type", f.ContentType)
-		}
-		pw, err := mw.CreatePart(hdr)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := pw.Write(f.Data); err != nil {
-			return nil, err
-		}
-	}
-	if err := mw.Close(); err != nil {
-		return nil, err
-	}
-	var out api.BatchResponse
-	if err := c.post(ctx, api.PathBatch, p, body.Bytes(), mw.FormDataContentType(), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -67,8 +67,9 @@ func TestClientLabelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClientAggregateAndBatch: the other two endpoints, typed.
-func TestClientAggregateAndBatch(t *testing.T) {
+// TestClientAggregate: the aggregate endpoint, typed — whole-image,
+// strip-mined and pipelined folds match the in-process Aggregate.
+func TestClientAggregate(t *testing.T) {
 	hs, _ := testServer(t, server.Config{Workers: 2})
 	c := New(hs.URL)
 	img := slapcc.MustParseImage("##.\n.#.\n..#")
@@ -119,38 +120,6 @@ func TestClientAggregateAndBatch(t *testing.T) {
 		t.Fatalf("pipelined aggregate time %d, want %d", pipeAgg.Metrics.TimeSteps, wantPipe.Metrics.Time)
 	}
 
-	var frames []Frame
-	imgs := []*slapcc.Bitmap{slapcc.RandomImage(12, 0.5, 1), slapcc.RandomImage(16, 0.5, 2), slapcc.RandomImage(9, 0.5, 3)}
-	for i, im := range imgs {
-		f, err := EncodeFrame(im, []string{"png", "pbm", "raw"}[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, f)
-	}
-	batch, err := c.LabelBatch(context.Background(), frames, api.Params{WantLabels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Frames != 3 || batch.Errors != 0 {
-		t.Fatalf("batch: %+v", batch)
-	}
-	for i, item := range batch.Results {
-		want, err := slapcc.Label(imgs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if item.Index != i || item.Result == nil {
-			t.Fatalf("item %d: %+v", i, item)
-		}
-		for x := 0; x < imgs[i].W(); x++ {
-			for y := 0; y < imgs[i].H(); y++ {
-				if item.Result.Labels[x*imgs[i].H()+y] != want.Labels.Get(x, y) {
-					t.Fatalf("batch frame %d label (%d,%d) diverged", i, x, y)
-				}
-			}
-		}
-	}
 }
 
 // TestClientRetryOn429: the client sleeps out the Retry-After hint and

@@ -30,8 +30,9 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("slapbench", flag.ContinueOnError)
+	exps := harness.All()
 	var (
-		id    = fs.String("id", "", "run only this experiment (E1..E12)")
+		id    = fs.String("id", "", "run only this experiment ("+exps[0].ID+".."+exps[len(exps)-1].ID+")")
 		sizes = fs.String("sizes", "", "comma-separated image sizes (default 32,64,128,256,512)")
 		quick = fs.Bool("quick", false, "use the quick size sweep (16,32,64)")
 		csv   = fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -42,7 +43,7 @@ func run(args []string) error {
 		return err
 	}
 	if *list {
-		for _, e := range harness.All() {
+		for _, e := range exps {
 			fmt.Printf("%-4s %s\n     %s\n", e.ID, e.Title, e.Claim)
 		}
 		return nil
@@ -61,7 +62,6 @@ func run(args []string) error {
 		cfg.Sizes = parsed
 	}
 
-	exps := harness.All()
 	if *id != "" {
 		e, ok := harness.ByID(*id)
 		if !ok {

@@ -51,7 +51,6 @@ func run(args []string, out io.Writer, signals <-chan os.Signal, ready func(addr
 		maxH      = fs.Int("maxheight", 0, "max image height (0 = default)")
 		maxPix    = fs.Int64("maxpixels", 0, "max image pixels (0 = default)")
 		maxBody   = fs.Int64("maxbody", 0, "max request body bytes (0 = 64 MiB)")
-		maxBatch  = fs.Int("maxbatch", 0, "max frames per batch request (0 = 64)")
 		retry     = fs.Duration("retryafter", time.Second, "Retry-After hint on 429 responses")
 		verify    = fs.Bool("verify", false, "cross-check every labeling against the sequential reference (conformance mode)")
 		drainWait = fs.Duration("draintimeout", 30*time.Second, "how long shutdown waits for in-flight requests")
@@ -62,14 +61,13 @@ func run(args []string, out io.Writer, signals <-chan os.Signal, ready func(addr
 	}
 
 	srv := server.New(server.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		Limits:         imageio.Limits{MaxWidth: *maxW, MaxHeight: *maxH, MaxPixels: *maxPix},
-		MaxBodyBytes:   *maxBody,
-		MaxBatchFrames: *maxBatch,
-		RetryAfter:     *retry,
-		Verify:         *verify,
-		LatencyTarget:  *latTarget,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		Limits:        imageio.Limits{MaxWidth: *maxW, MaxHeight: *maxH, MaxPixels: *maxPix},
+		MaxBodyBytes:  *maxBody,
+		RetryAfter:    *retry,
+		Verify:        *verify,
+		LatencyTarget: *latTarget,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(out, "slapd: "+format+"\n", args...)
 		},

@@ -11,11 +11,11 @@
 //	slapload -url http://localhost:8117 -frames 1000 -concurrency 4 \
 //	         -sizes 64,128,256 -formats png,pbm,raw -out report.json
 //
-// With -cluster the target is a slapfront coordinator: the same loop
-// and aggregate spot-checks run (strip-mined frames then fan out
-// across the fleet and must still verify bit-for-bit — kill a backend
-// mid-run to watch the coordinator re-shard), and the batch phase is
-// skipped.
+// The target may equally be a slapfront coordinator: it serves the same
+// endpoints, so the same loop and aggregate spot-checks run (strip-mined
+// frames then fan out across the fleet and must still verify
+// bit-for-bit — kill a backend mid-run to watch the coordinator
+// re-shard).
 //
 // Phases:
 //
@@ -25,14 +25,11 @@
 //     labels and simulated metrics when -verify is on (every 4th
 //     request strip-mines on a -array-wide machine when given, pinning
 //     the service against the in-process strip-mined run);
-//  3. -batches multipart batches of -batchsize frames, checked for
-//     in-order, bit-identical results (skipped with -cluster: the
-//     slapfront coordinator does not expose /v1/label/batch);
-//  4. aggregate spot-checks (unless -aggverify=false): /v1/aggregate
+//  3. aggregate spot-checks (unless -aggverify=false): /v1/aggregate
 //     requests — whole-image and, when -array is set, strip-mined with
 //     array= — verified value-for-value against the in-process
 //     Aggregate;
-//  5. an optional -overload burst fired without retry to observe the
+//  4. an optional -overload burst fired without retry to observe the
 //     admission queue shedding with 429.
 //
 // -cost stamps cost= on every request (unit, bitserial, or host — the
@@ -80,7 +77,6 @@ type report struct {
 	Sizes       []int        `json:"sizes"`
 	Formats     []string     `json:"formats"`
 	ArrayWidth  int          `json:"array_width,omitempty"`
-	Cluster     bool         `json:"cluster,omitempty"`
 	DurationS   float64      `json:"duration_s"`
 	FramesPerS  float64      `json:"frames_per_s"`
 	MBPerS      float64      `json:"mb_per_s"`
@@ -109,12 +105,6 @@ type report struct {
 		BuildRefS float64 `json:"build_ref_s"`
 		CheckS    float64 `json:"check_s"`
 	} `json:"verify"`
-	Batch struct {
-		Batches    int `json:"batches"`
-		Frames     int `json:"frames"`
-		Errors     int `json:"errors"`
-		Mismatches int `json:"mismatches"`
-	} `json:"batch"`
 	Aggregate struct {
 		Checks     int `json:"checks"`
 		Strip      int `json:"strip_mined"`
@@ -143,10 +133,7 @@ func run(args []string, out io.Writer) error {
 		verifyEn = fs.String("verifyengine", "", "engine that builds verification references: sim (default; re-simulates every corpus frame) or host (host engine, ~free)")
 		cost     = fs.String("cost", "", "cost= stamped on every request: unit (default), bitserial, or host (host engine: no simulated metrics in responses)")
 		array    = fs.Int("array", 0, "strip-mine every 4th request on an array this wide (0 = never)")
-		batches  = fs.Int("batches", 8, "multipart batch requests after the loop (0 = skip)")
-		batchSz  = fs.Int("batchsize", 8, "frames per batch request")
 		aggVer   = fs.Bool("aggverify", true, "spot-check /v1/aggregate (incl. strip-mined array= runs) against in-process Aggregate; needs -verify")
-		clusterT = fs.Bool("cluster", false, "target is a slapfront coordinator: skip the batch phase (no /v1/label/batch there)")
 		overload = fs.Int("overload", 0, "fire this many concurrent no-retry requests to observe 429s (0 = skip)")
 		outPath  = fs.String("out", "", "write the JSON report here as well as stdout")
 		timeout  = fs.Duration("timeout", 120*time.Second, "per-request timeout")
@@ -217,7 +204,7 @@ func run(args []string, out io.Writer) error {
 	rep := &report{
 		Target: *url, Frames: *frames, Concurrency: *conc,
 		Sizes: sizeList, Formats: formatList, ArrayWidth: *array,
-		Cluster: *clusterT, Cost: *cost,
+		Cost: *cost,
 	}
 	rep.Verify.Enabled = *verify
 	if *verify {
@@ -243,22 +230,14 @@ func run(args []string, out io.Writer) error {
 		rep.Verify.CheckS = st.CheckTime.Seconds()
 	}
 
-	// Phase 3: batches, verified in order. A slapfront target has no
-	// batch endpoint — single frames are the unit it shards.
-	if *batches > 0 && *batchSz > 0 && !*clusterT {
-		if err := runBatches(ctx, c, specs, *batches, *batchSz, *cost, rep); err != nil {
-			return err
-		}
-	}
-
-	// Phase 4: aggregate spot-checks against in-process Aggregate.
+	// Phase 3: aggregate spot-checks against in-process Aggregate.
 	if *aggVer && *verify {
 		if err := runAggChecks(ctx, c, sizeList, *density, *array, *cost, refEngine, rep); err != nil {
 			return err
 		}
 	}
 
-	// Phase 5: the over-capacity burst, no retries.
+	// Phase 4: the over-capacity burst, no retries.
 	if *overload > 0 {
 		bc := client.New(*url, client.WithMaxRetries(0), client.WithHTTPClient(&http.Client{Timeout: *timeout}))
 		burst := loadgen.Burst(ctx, bc, specs, *overload)
@@ -285,11 +264,9 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "report written to %s\n", *outPath)
 	}
-	if rep.Errors > 0 || rep.Verify.Mismatches > 0 || rep.Batch.Mismatches > 0 || rep.Batch.Errors > 0 ||
-		rep.Aggregate.Errors > 0 || rep.Aggregate.Mismatches > 0 {
-		return fmt.Errorf("%d errors, %d verify mismatches, %d batch errors, %d batch mismatches, %d aggregate errors, %d aggregate mismatches",
-			rep.Errors, rep.Verify.Mismatches, rep.Batch.Errors, rep.Batch.Mismatches,
-			rep.Aggregate.Errors, rep.Aggregate.Mismatches)
+	if rep.Errors > 0 || rep.Verify.Mismatches > 0 || rep.Aggregate.Errors > 0 || rep.Aggregate.Mismatches > 0 {
+		return fmt.Errorf("%d errors, %d verify mismatches, %d aggregate errors, %d aggregate mismatches",
+			rep.Errors, rep.Verify.Mismatches, rep.Aggregate.Errors, rep.Aggregate.Mismatches)
 	}
 	return nil
 }
@@ -331,45 +308,6 @@ func runAggChecks(ctx context.Context, c *client.Client, sizes []int, density fl
 	return nil
 }
 
-func runBatches(ctx context.Context, c *client.Client, specs []loadgen.Frame, batches, batchSz int, cost string, rep *report) error {
-	idx := 0
-	for b := 0; b < batches; b++ {
-		var frames []client.Frame
-		var members []*loadgen.Frame
-		for k := 0; k < batchSz; k++ {
-			sp := &specs[idx%len(specs)]
-			idx++
-			// Batch params are request-wide; skip strip-mined specs whose
-			// per-frame params would not apply.
-			if sp.Params.ArrayWidth != 0 {
-				sp = &specs[0]
-			}
-			frames = append(frames, client.Frame{Data: sp.Data, ContentType: sp.CType})
-			members = append(members, sp)
-		}
-		resp, err := c.LabelBatch(ctx, frames, api.Params{WantLabels: members[0].Want != nil, Cost: cost})
-		if err != nil {
-			return fmt.Errorf("batch %d: %w", b, err)
-		}
-		rep.Batch.Batches++
-		rep.Batch.Frames += resp.Frames
-		rep.Batch.Errors += resp.Errors
-		for i, item := range resp.Results {
-			if item.Index != i {
-				rep.Batch.Mismatches++
-				continue
-			}
-			if item.Result == nil {
-				continue // already counted in Errors
-			}
-			if w := members[i].Want; w != nil && w.Check(item.Result, nil) != nil {
-				rep.Batch.Mismatches++
-			}
-		}
-	}
-	return nil
-}
-
 func summarize(out io.Writer, rep *report) {
 	fmt.Fprintf(out, "loop: %d frames in %.2fs over %d clients -> %.1f frames/s, %.2f MB/s wire, %.2f Mpix/s\n",
 		rep.Frames-rep.Errors, rep.DurationS, rep.Concurrency, rep.FramesPerS, rep.MBPerS, rep.PixelMBPerS)
@@ -391,10 +329,6 @@ func summarize(out io.Writer, rep *report) {
 	if rep.Verify.Enabled {
 		fmt.Fprintf(out, "verify: %d frames checked (engine %s), %d mismatches; refs built in %.3fs, response checks %.3fs\n",
 			rep.Verify.Frames, rep.Verify.Engine, rep.Verify.Mismatches, rep.Verify.BuildRefS, rep.Verify.CheckS)
-	}
-	if rep.Batch.Batches > 0 {
-		fmt.Fprintf(out, "batch: %d batches / %d frames, %d errors, %d mismatches\n",
-			rep.Batch.Batches, rep.Batch.Frames, rep.Batch.Errors, rep.Batch.Mismatches)
 	}
 	if rep.Aggregate.Checks > 0 {
 		fmt.Fprintf(out, "aggregate: %d checks (%d strip-mined), %d errors, %d mismatches\n",

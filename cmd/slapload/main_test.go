@@ -16,7 +16,7 @@ import (
 
 // TestLoadAgainstRealServer is the acceptance loop in miniature: a
 // mixed-size, mixed-format corpus through a real server handler with
-// full verification, ordered batches, and an over-capacity burst, all
+// full verification, aggregate spot-checks, and an over-capacity burst, all
 // reported into the JSON artifact.
 func TestLoadAgainstRealServer(t *testing.T) {
 	hs := httptest.NewServer(server.New(server.Config{Workers: 2, QueueDepth: 2}))
@@ -30,7 +30,6 @@ func TestLoadAgainstRealServer(t *testing.T) {
 		"-sizes", "16,24", "-corpus", "2",
 		"-formats", "png,pbm,raw,art",
 		"-array", "8",
-		"-batches", "2", "-batchsize", "4",
 		"-overload", "12",
 		"-out", outPath,
 	}, &out)
@@ -51,9 +50,6 @@ func TestLoadAgainstRealServer(t *testing.T) {
 	}
 	if !rep.Verify.Enabled || rep.Verify.Frames != 24 {
 		t.Fatalf("verify: %+v", rep.Verify)
-	}
-	if rep.Batch.Batches != 2 || rep.Batch.Frames != 8 || rep.Batch.Errors != 0 || rep.Batch.Mismatches != 0 {
-		t.Fatalf("batch: %+v", rep.Batch)
 	}
 	// Two sizes × (whole + strip-mined + strip-mined-pipelined): the
 	// aggregate spot-checks must all verify against in-process Aggregate.
@@ -100,6 +96,10 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-concurrency", "0", "concurrency"},
 		{"-frames", "0", "frames"},
 		{"-frames", "-5", "frames"},
+		// Retired flags are refused, not silently ignored.
+		{"-batches", "2", "not defined"},
+		{"-batchsize", "2", "not defined"},
+		{"-cluster", "true", "not defined"},
 	} {
 		err := run([]string{"-url", "http://x", tc.flag, tc.value}, &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -117,7 +117,7 @@ func TestReportContracts(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-url", hs.URL, "-frames", "12", "-concurrency", "2", "-sizes", "16,24", "-corpus", "2",
-		"-formats", "raw,png", "-batches", "1", "-batchsize", "2", "-overload", "4",
+		"-formats", "raw,png", "-overload", "4",
 		"-out", filepath.Join(dir, "report.json"),
 	}, &out)
 	if err != nil || !strings.Contains(out.String(), "server stage") {
@@ -156,7 +156,7 @@ func TestReportContracts(t *testing.T) {
 	}
 }
 
-// TestLoadAgainstCluster drives the -cluster scenario end to end: two
+// TestLoadAgainstCluster drives a coordinator end to end: two
 // slapd backends behind a slapfront coordinator, one killed outright
 // mid-corpus (its strips re-shard to the survivor), and every response
 // — including the strip-mined frames that fan out across the fleet —
@@ -189,7 +189,6 @@ func TestLoadAgainstCluster(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-url", front.URL,
-		"-cluster",
 		"-frames", "32", "-concurrency", "3",
 		"-sizes", "16,24", "-corpus", "2",
 		"-formats", "png,raw",
@@ -209,14 +208,8 @@ func TestLoadAgainstCluster(t *testing.T) {
 	if err := json.Unmarshal(blob, &rep); err != nil {
 		t.Fatalf("bad report: %v\n%s", err, blob)
 	}
-	if !rep.Cluster {
-		t.Fatalf("report not marked cluster: %+v", rep)
-	}
 	if rep.Errors != 0 || rep.Verify.Mismatches != 0 {
 		t.Fatalf("cluster run with a killed backend: errors %d, mismatches %d\n%s", rep.Errors, rep.Verify.Mismatches, out.String())
-	}
-	if rep.Batch.Batches != 0 {
-		t.Fatalf("batch phase ran against a coordinator: %+v", rep.Batch)
 	}
 	if rep.Aggregate.Checks == 0 || rep.Aggregate.Errors != 0 || rep.Aggregate.Mismatches != 0 {
 		t.Fatalf("aggregate: %+v", rep.Aggregate)

@@ -214,6 +214,30 @@ func TestReadPBMErrors(t *testing.T) {
 	}
 }
 
+// TestPBMDims: the header peek reads the declared dimensions past
+// comments and without a raster, and refuses what ReadPBM would refuse
+// in the header.
+func TestPBMDims(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		w, h int
+		ok   bool
+	}{
+		{"P1\n# a comment\n3 2\n110\n011\n", 3, 2, true},
+		{"P1 1048576 128 ", 1 << 20, 128, true}, // header only
+		{"P4\n2 2\n", 0, 0, false},
+		{"P1\n2\n", 0, 0, false},
+		{"P1\nx 2\n", 0, 0, false},
+		{"P1 2097152 1 ", 0, 0, false}, // over the parser's 1<<20 bound
+		{"SLR1", 0, 0, false},
+	} {
+		w, h, ok := PBMDims([]byte(tc.in))
+		if ok != tc.ok || (ok && (w != tc.w || h != tc.h)) {
+			t.Errorf("PBMDims(%q) = %d, %d, %v; want %d, %d, %v", tc.in, w, h, ok, tc.w, tc.h, tc.ok)
+		}
+	}
+}
+
 func TestTransposeInvolution(t *testing.T) {
 	b := Random(19, 0.5, 3)
 	if !b.Transpose().Transpose().Equal(b) {

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -85,45 +86,23 @@ func (b *Bitmap) WritePBM(w io.Writer) error {
 	return bw.Flush()
 }
 
+// PBMDims returns the dimensions a plain PBM (P1) header declares. It
+// reads only the magic and the two dimension tokens, so a decoder can
+// check its limits against the header before ReadPBM allocates the
+// raster — the P1 counterpart of RawDims. ok is false when data does not
+// start with a well-formed header; ReadPBM then reports why.
+func PBMDims(data []byte) (w, h int, ok bool) {
+	w, h, err := readPBMHeader(newPBMScanner(bytes.NewReader(data)))
+	return w, h, err == nil
+}
+
 // ReadPBM reads a plain PBM (P1) image, tolerating arbitrary whitespace
 // between tokens and '#' comment lines as the format allows.
 func ReadPBM(r io.Reader) (*Bitmap, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	sc.Split(scanPBMTokens)
-	next := func() (string, error) {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return "", err
-			}
-			return "", io.ErrUnexpectedEOF
-		}
-		return sc.Text(), nil
-	}
-	magic, err := next()
+	sc := newPBMScanner(r)
+	w, h, err := readPBMHeader(sc)
 	if err != nil {
-		return nil, fmt.Errorf("bitmap: reading PBM magic: %w", err)
-	}
-	if magic != "P1" {
-		return nil, fmt.Errorf("bitmap: unsupported PBM magic %q (want P1)", magic)
-	}
-	var w, h int
-	tok, err := next()
-	if err != nil {
-		return nil, fmt.Errorf("bitmap: reading PBM width: %w", err)
-	}
-	if _, err := fmt.Sscanf(tok, "%d", &w); err != nil {
-		return nil, fmt.Errorf("bitmap: bad PBM width %q", tok)
-	}
-	tok, err = next()
-	if err != nil {
-		return nil, fmt.Errorf("bitmap: reading PBM height: %w", err)
-	}
-	if _, err := fmt.Sscanf(tok, "%d", &h); err != nil {
-		return nil, fmt.Errorf("bitmap: bad PBM height %q", tok)
-	}
-	if w < 0 || h < 0 || w > 1<<20 || h > 1<<20 {
-		return nil, fmt.Errorf("bitmap: unreasonable PBM dimensions %dx%d", w, h)
+		return nil, err
 	}
 	b := New(w, h)
 	// P1 allows raster digits to be packed without separators; consume
@@ -132,7 +111,7 @@ func ReadPBM(r io.Reader) (*Bitmap, error) {
 	pos := 0
 	nextDigit := func() (byte, error) {
 		for pos >= len(cur) {
-			tok, err := next()
+			tok, err := pbmToken(sc)
 			if err != nil {
 				return 0, err
 			}
@@ -159,6 +138,59 @@ func ReadPBM(r io.Reader) (*Bitmap, error) {
 		}
 	}
 	return b, nil
+}
+
+// newPBMScanner returns a scanner over r yielding PBM tokens. Its
+// buffer starts small and grows on demand, so reading a header costs
+// a few KiB whatever the header declares; packed raster rows may
+// still run to 16 MiB.
+func newPBMScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<24)
+	sc.Split(scanPBMTokens)
+	return sc
+}
+
+// pbmToken returns the scanner's next token, io.ErrUnexpectedEOF at
+// the end of the input.
+func pbmToken(sc *bufio.Scanner) (string, error) {
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return "", err
+		}
+		return "", io.ErrUnexpectedEOF
+	}
+	return sc.Text(), nil
+}
+
+// readPBMHeader reads the P1 magic and the dimensions, bounded by the
+// parser's own 1<<20 sanity limit.
+func readPBMHeader(sc *bufio.Scanner) (w, h int, err error) {
+	magic, err := pbmToken(sc)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bitmap: reading PBM magic: %w", err)
+	}
+	if magic != "P1" {
+		return 0, 0, fmt.Errorf("bitmap: unsupported PBM magic %q (want P1)", magic)
+	}
+	tok, err := pbmToken(sc)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bitmap: reading PBM width: %w", err)
+	}
+	if _, err := fmt.Sscanf(tok, "%d", &w); err != nil {
+		return 0, 0, fmt.Errorf("bitmap: bad PBM width %q", tok)
+	}
+	tok, err = pbmToken(sc)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bitmap: reading PBM height: %w", err)
+	}
+	if _, err := fmt.Sscanf(tok, "%d", &h); err != nil {
+		return 0, 0, fmt.Errorf("bitmap: bad PBM height %q", tok)
+	}
+	if w < 0 || h < 0 || w > 1<<20 || h > 1<<20 {
+		return 0, 0, fmt.Errorf("bitmap: unreasonable PBM dimensions %dx%d", w, h)
+	}
+	return w, h, nil
 }
 
 // scanPBMTokens is a bufio.SplitFunc yielding whitespace-separated tokens

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -284,8 +283,8 @@ func TestTraceStageCoverage(t *testing.T) {
 // TestSpanNameInventoryDocumented is the observability docs gate,
 // mirroring core's TestPhaseNameInventory: it drives every request
 // shape the daemons trace — strip fan-out with grafted backend stages,
-// whole-image proxying, aggregation, local fallback with no backends,
-// and a direct slapd batch — then fails if any span name that showed
+// whole-image proxying, aggregation, and local fallback with no
+// backends — then fails if any span name that showed
 // up is missing from docs/METRICS.md.
 func TestSpanNameInventoryDocumented(t *testing.T) {
 	docPath := filepath.Join("..", "..", "docs", "METRICS.md")
@@ -315,33 +314,10 @@ func TestSpanNameInventoryDocumented(t *testing.T) {
 	if code, body := post(t, frontLocal.URL, api.PathLabel, api.Params{ArrayWidth: 8}, img); code != http.StatusOK {
 		t.Fatalf("local fallback: %d %s", code, body)
 	}
-	// Batch rides only on slapd: frame spans under the batch root.
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	for i := 0; i < 2; i++ {
-		pw, err := mw.CreateFormFile("frames", fmt.Sprintf("f%d.raw", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := imageio.Encode(pw, img, imageio.FormatRaw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mw.Close()
-	resp, err := http.Post(b.URL+api.PathBatch, mw.FormDataContentType(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: %d", resp.StatusCode)
-	}
-
 	// The sweep must reach every span family; rings are filed just after
 	// the response, so poll until the full vocabulary has landed.
 	must := []string{
-		"label", "aggregate", "batch", "frame",
+		"label", "aggregate",
 		"queue", "decode", "encode", "pool", "strip", "stitch",
 		"fanout", "attempt", "local", "no-backend",
 	}

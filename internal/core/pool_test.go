@@ -2,115 +2,18 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"slapcc/internal/bitmap"
 )
 
-func streamFrames(n, count int) []*bitmap.Bitmap {
+func randomFrames(n, count int) []*bitmap.Bitmap {
 	frames := make([]*bitmap.Bitmap, count)
 	for i := range frames {
 		frames[i] = bitmap.Random(n, 0.5, uint64(i+1))
 	}
 	return frames
-}
-
-// TestLabelStreamOrderingAndEquivalence: results arrive in submission
-// order, one per frame, and each is bit-identical to a plain Label of
-// the same frame — for the synchronous single-worker stream and for
-// fan-out streams wider than the host.
-func TestLabelStreamOrderingAndEquivalence(t *testing.T) {
-	const n, count = 31, 24
-	frames := streamFrames(n, count)
-	want := make([]*Result, count)
-	for i, img := range frames {
-		want[i] = mustLabel(t, img, Options{})
-	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		var got []StreamResult
-		s := NewLabelStream(Options{}, workers, func(r StreamResult) {
-			got = append(got, r)
-		})
-		if s.Workers() != workers {
-			t.Fatalf("workers=%d: stream reports %d", workers, s.Workers())
-		}
-		for _, img := range frames {
-			s.Submit(img)
-		}
-		s.Close()
-		if len(got) != count {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), count)
-		}
-		for i, r := range got {
-			if r.Frame != i {
-				t.Fatalf("workers=%d: result %d carries frame %d (out of order)", workers, i, r.Frame)
-			}
-			if r.Err != nil {
-				t.Fatalf("workers=%d frame %d: %v", workers, i, r.Err)
-			}
-			if !r.Result.Labels.Equal(want[i].Labels) {
-				t.Errorf("workers=%d frame %d: labels diverged from one-shot Label", workers, i)
-			}
-			if r.Result.Metrics.Time != want[i].Metrics.Time ||
-				r.Result.Metrics.Sends != want[i].Metrics.Sends ||
-				r.Result.UF != want[i].UF {
-				t.Errorf("workers=%d frame %d: metrics diverged from one-shot Label", workers, i)
-			}
-		}
-	}
-}
-
-// TestLabelStreamSingleWorkerIsSynchronous: with one worker the sink
-// runs inside Submit, before it returns — the single-labeler delegate
-// with no goroutine hand-off.
-func TestLabelStreamSingleWorkerIsSynchronous(t *testing.T) {
-	img := bitmap.Random(16, 0.5, 9)
-	delivered := false
-	s := NewLabelStream(Options{}, 1, func(r StreamResult) { delivered = true })
-	s.Submit(img)
-	if !delivered {
-		t.Fatal("single-worker Submit returned before the sink ran")
-	}
-	s.Close()
-}
-
-// TestLabelStreamError: a configuration error reaches the sink as a
-// per-frame StreamResult.Err, in order, without wedging the stream.
-func TestLabelStreamError(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		var errs, oks int
-		s := NewLabelStream(Options{UF: "no-such-kind"}, workers, func(r StreamResult) {
-			if r.Err != nil {
-				errs++
-			} else {
-				oks++
-			}
-		})
-		for i := 0; i < 5; i++ {
-			s.Submit(bitmap.Random(8, 0.5, uint64(i)))
-		}
-		s.Close()
-		if errs != 5 || oks != 0 {
-			t.Fatalf("workers=%d: %d errors, %d successes; want 5, 0", workers, errs, oks)
-		}
-	}
-}
-
-// TestLabelStreamCloseIdempotent: Close twice is fine; Submit after
-// Close panics.
-func TestLabelStreamCloseIdempotent(t *testing.T) {
-	s := NewLabelStream(Options{}, 2, func(StreamResult) {})
-	s.Submit(bitmap.Random(8, 0.5, 1))
-	s.Close()
-	s.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Submit after Close did not panic")
-		}
-	}()
-	s.Submit(bitmap.Random(8, 0.5, 2))
 }
 
 // TestLabelerPoolConcurrent hammers one pool from many goroutines (the
@@ -122,7 +25,7 @@ func TestLabelerPoolConcurrent(t *testing.T) {
 	if pool.Workers() != workers {
 		t.Fatalf("pool reports %d workers", pool.Workers())
 	}
-	frames := streamFrames(23, calls)
+	frames := randomFrames(23, calls)
 	want := make([]*Result, calls)
 	for i, img := range frames {
 		want[i] = mustLabel(t, img, Options{})
@@ -133,7 +36,7 @@ func TestLabelerPoolConcurrent(t *testing.T) {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for i := g; i < calls; i += workers * 2 {
-				res, err := pool.Label(frames[i])
+				res, err := pool.LabelWith(frames[i], Options{})
 				if err != nil || !res.Labels.Equal(want[i].Labels) {
 					failures.Add(1)
 				}
@@ -148,43 +51,6 @@ func TestLabelerPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestLabelStreamManyFrames pushes enough frames through a wide stream
-// to exercise backpressure and the collector's reordering window.
-func TestLabelStreamManyFrames(t *testing.T) {
-	const count = 200
-	expect := 0
-	s := NewLabelStream(Options{}, 8, func(r StreamResult) {
-		if r.Frame != expect {
-			t.Errorf("frame %d delivered at position %d", r.Frame, expect)
-		}
-		expect++
-	})
-	for i := 0; i < count; i++ {
-		s.Submit(bitmap.Random(9+i%7, 0.4, uint64(i)))
-	}
-	s.Close()
-	if expect != count {
-		t.Fatalf("delivered %d frames, want %d", expect, count)
-	}
-}
-
-func ExampleLabelStream() {
-	imgs := []*bitmap.Bitmap{
-		bitmap.MustParse("##\n.#"),
-		bitmap.MustParse("#.\n.#"),
-	}
-	s := NewLabelStream(Options{}, 2, func(r StreamResult) {
-		fmt.Printf("frame %d: %d components\n", r.Frame, r.Result.Labels.ComponentCount())
-	})
-	for _, img := range imgs {
-		s.Submit(img)
-	}
-	s.Close()
-	// Output:
-	// frame 0: 1 components
-	// frame 1: 2 components
-}
-
 // TestLabelerPoolPanicKeepsCapacity: a panicking labeler must not shrink
 // the pool. The panic propagates to the caller, but the worker slot is
 // refilled (with a fresh labeler, since the panicked one's arenas may be
@@ -196,10 +62,10 @@ func TestLabelerPoolPanicKeepsCapacity(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Label(nil) did not panic")
+				t.Fatal("LabelWith(nil) did not panic")
 			}
 		}()
-		p.Label(nil) // nil image: panics inside the worker's Label
+		p.LabelWith(nil, Options{}) // nil image: panics inside the worker's run
 	}()
 
 	// Every slot must still be present and usable: check out all
@@ -227,7 +93,7 @@ func TestLabelerPoolPanicKeepsCapacity(t *testing.T) {
 	for _, lb := range held {
 		p.free <- lb
 	}
-	if got, err := p.Label(img); err != nil || !got.Labels.Equal(want.Labels) {
+	if got, err := p.LabelWith(img, Options{}); err != nil || !got.Labels.Equal(want.Labels) {
 		t.Fatalf("pool unusable after refill: %v", err)
 	}
 }
@@ -249,8 +115,12 @@ func TestLabelerPoolLabelWith(t *testing.T) {
 		t.Fatal("LabelWith(conn8) diverged from one-shot Label")
 	}
 
+	// The pool's one worker, checked out directly, labels under the
+	// pool's own options again.
 	want4 := mustLabel(t, img, Options{})
-	got4, err := pool.Label(img)
+	lb := <-pool.free
+	got4, err := lb.Label(img)
+	pool.free <- lb
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +183,7 @@ func TestLabelerPoolAggregateWith(t *testing.T) {
 	if pool.Idle() != 1 {
 		t.Fatalf("worker not returned after RunWith error: Idle() = %d", pool.Idle())
 	}
-	if res, err := pool.Label(img); err != nil || !res.Labels.Equal(mustLabel(t, img, Options{}).Labels) {
+	if res, err := pool.LabelWith(img, Options{}); err != nil || !res.Labels.Equal(mustLabel(t, img, Options{}).Labels) {
 		t.Fatalf("pool unusable after RunWith error: %v", err)
 	}
 }

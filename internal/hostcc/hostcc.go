@@ -82,7 +82,7 @@ type Labeler struct {
 // NewLabeler returns a reusable host-engine labeler.
 func NewLabeler() *Labeler { return &Labeler{} }
 
-// pool backs the package-level one-shot calls, mirroring the
+// pool backs the package-level one-shot Label, mirroring the
 // simulator's labelerPool: steady one-shot host traffic reuses warm
 // arenas.
 var pool = sync.Pool{New: func() any { return NewLabeler() }}
@@ -92,14 +92,6 @@ func Label(img *bitmap.Bitmap, conn bitmap.Connectivity) (*bitmap.LabelMap, Stat
 	lb := pool.Get().(*Labeler)
 	defer pool.Put(lb)
 	return lb.Label(img, conn)
-}
-
-// Aggregate aggregates img on a pooled host labeler. See
-// Labeler.Aggregate.
-func Aggregate(img *bitmap.Bitmap, initial []int32, identity int32, combine func(a, b int32) int32, conn bitmap.Connectivity) (*bitmap.LabelMap, []int32, Stats) {
-	lb := pool.Get().(*Labeler)
-	defer pool.Put(lb)
-	return lb.Aggregate(img, initial, identity, combine, conn)
 }
 
 // Label computes the canonical component labeling of img: every

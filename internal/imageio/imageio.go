@@ -165,9 +165,10 @@ func Sniff(data []byte) Format {
 }
 
 // DecodeBytes decodes data as format (FormatAuto sniffs) into a Bitmap,
-// enforcing limits before the pixels are materialized where the format
-// allows (PNG and SLR1 declare dimensions up front; PBM and art are
-// checked as soon as their cheap header/line scan yields them).
+// enforcing limits. PNG, SLR1 and PBM declare their dimensions in a
+// header, which is checked before the raster is allocated; ASCII art
+// has no header, so its dimensions are checked after parsing, which
+// allocates in proportion to the body the caller already holds.
 func DecodeBytes(data []byte, format Format, limits Limits) (*bitmap.Bitmap, error) {
 	if format == FormatAuto || format == "" {
 		format = Sniff(data)
@@ -176,6 +177,11 @@ func DecodeBytes(data []byte, format Format, limits Limits) (*bitmap.Bitmap, err
 	case FormatPNG:
 		return decodePNG(data, limits)
 	case FormatPBM:
+		if w, h, ok := bitmap.PBMDims(data); ok {
+			if err := limits.Check(w, h); err != nil {
+				return nil, err
+			}
+		}
 		img, err := bitmap.ReadPBM(bytes.NewReader(data))
 		if err != nil {
 			return nil, err

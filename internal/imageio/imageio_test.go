@@ -2,9 +2,11 @@ package imageio
 
 import (
 	"bytes"
+	"errors"
 	"image"
 	"image/color"
 	"image/png"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -126,6 +128,24 @@ func TestLimits(t *testing.T) {
 	}
 }
 
+// TestPBMLimitFromHeader: an over-limit P1 header is refused with
+// ErrLimit before the raster exists, so a 15-byte body cannot make the
+// decoder allocate the 16 MiB its header declares.
+func TestPBMLimitFromHeader(t *testing.T) {
+	data := []byte("P1 1048576 128 ")
+	limits := Limits{MaxWidth: 256, MaxHeight: 256}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBytes(data, FormatAuto, limits)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrLimit) {
+		t.Fatalf("over-limit PBM header: %v, want ErrLimit", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("rejecting the header allocated %d bytes, want < 64 KiB", got)
+	}
+}
+
 // TestDecodeErrors: garbage input fails per codec with a useful error
 // rather than panicking, including binary junk sniffed as art.
 func TestDecodeErrors(t *testing.T) {
@@ -157,4 +177,37 @@ func TestDecodeReader(t *testing.T) {
 	if !got.Equal(img) {
 		t.Fatal("Decode(reader) diverged")
 	}
+}
+
+// FuzzDecodeBytes feeds arbitrary bodies to DecodeBytes under every
+// format, sniffing included: no input may panic the decoder, and every
+// image it accepts fits the Limits it was decoded under.
+func FuzzDecodeBytes(f *testing.F) {
+	formats := append([]Format{FormatAuto}, Formats()...)
+	img := bitmap.MustParse("##..#\n.#.#.\n#...#")
+	for i, ft := range Formats() {
+		data, err := EncodeBytes(img, ft)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, uint8(0))   // sniffed
+		f.Add(data, uint8(i+1)) // named
+		if len(data) > 12 {
+			f.Add(data[:12], uint8(0)) // truncated header (SLR1's is 12 bytes)
+		}
+	}
+	f.Add([]byte("P1 1048576 128 "), uint8(0))
+	f.Add(pngSignature, uint8(0))
+	f.Add([]byte("SLR1\x05\x00\x00\x00"), uint8(0))
+	limits := Limits{MaxWidth: 64, MaxHeight: 64, MaxPixels: 2048}
+	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
+		format := formats[int(which)%len(formats)]
+		img, err := DecodeBytes(data, format, limits)
+		if err != nil {
+			return
+		}
+		if err := limits.Check(img.W(), img.H()); err != nil {
+			t.Fatalf("%s decode accepted a %dx%d image over %+v", format, img.W(), img.H(), limits)
+		}
+	})
 }

@@ -206,7 +206,7 @@ type registry struct {
 	panics   int64
 }
 
-func (g *registry) addFrames(n int)      { g.mu.Lock(); g.frames += int64(n); g.mu.Unlock() }
+func (g *registry) addFrame()            { g.mu.Lock(); g.frames++; g.mu.Unlock() }
 func (g *registry) addBytesIn(n int64)   { g.mu.Lock(); g.bytesIn += n; g.mu.Unlock() }
 func (g *registry) addRejected()         { g.mu.Lock(); g.rejected++; g.mu.Unlock() }
 func (g *registry) addDeadlineRejected() { g.mu.Lock(); g.deadline++; g.mu.Unlock() }
@@ -229,7 +229,7 @@ func (g *registry) render(w io.Writer, gv gauges) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	WriteScalar(w, "slapd_frames_labeled_total", "counter", "Frames labeled, counting every batch part.", g.frames)
+	WriteScalar(w, "slapd_frames_labeled_total", "counter", "Frames labeled, one per successful label or aggregate request.", g.frames)
 	WriteScalar(w, "slapd_ingest_bytes_total", "counter", "Request body bytes accepted for decoding.", g.bytesIn)
 	WriteScalar(w, "slapd_rejected_total", "counter", "Requests shed with 429 by admission control.", g.rejected)
 	WriteScalar(w, "slapd_deadline_rejected_total", "counter", "Requests refused with 504 because their deadline budget was spent or unmeetable.", g.deadline)

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -60,11 +59,8 @@ type Config struct {
 	// Limits bound decoded image sizes (zero fields select
 	// imageio.DefaultLimits).
 	Limits imageio.Limits
-	// MaxBodyBytes bounds each request body, including whole batch
-	// bodies (≤ 0 selects 64 MiB).
+	// MaxBodyBytes bounds each request body (≤ 0 selects 64 MiB).
 	MaxBodyBytes int64
-	// MaxBatchFrames bounds parts per batch request (≤ 0 selects 64).
-	MaxBatchFrames int
 	// RetryAfter is the hint sent with 429 responses (≤ 0 selects 1s;
 	// sub-second values round up to 1s on the wire).
 	RetryAfter time.Duration
@@ -95,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.MaxBatchFrames <= 0 {
-		c.MaxBatchFrames = 64
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -149,7 +142,6 @@ func New(cfg Config) *Server {
 	s.idle.L = &s.mu
 	s.mux.HandleFunc(api.PathLabel, s.tel.Instrument("label", s.admitted("label", s.recovered(s.handleRun(false)))))
 	s.mux.HandleFunc(api.PathAggregate, s.tel.Instrument("aggregate", s.admitted("aggregate", s.recovered(s.handleRun(true)))))
-	s.mux.HandleFunc(api.PathBatch, s.tel.Instrument("batch", s.admitted("batch", s.recovered(s.handleBatch))))
 	s.mux.HandleFunc(api.PathHealthz, s.tel.Instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc(api.PathMetrics, s.tel.Instrument("metrics", s.handleMetrics))
 	s.mux.Handle(PathDebugRequests, s.DebugHandler())
@@ -572,7 +564,7 @@ func (s *Server) handleRun(agg bool) http.HandlerFunc {
 			WriteError(w, status, err.Error())
 			return
 		}
-		s.reg.addFrames(1)
+		s.reg.addFrame()
 		WriteTraced(w, http.StatusOK, resp, sp)
 	}
 }
@@ -649,118 +641,6 @@ func (s *Server) runOne(ctx context.Context, img *bitmap.Bitmap, p api.Params, o
 // before verification and response shaping — the verify tests use it
 // to corrupt an answer the engine got right.
 var testRunHook func(*core.Result)
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	p, err := api.ParamsFromQuery(r.URL.Query())
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sp := obs.FromContext(r.Context())
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	mr, err := r.MultipartReader()
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch requires multipart/form-data: %v", err))
-		return
-	}
-	dsp := sp.Child("decode")
-
-	// Decode parts synchronously (cheap), then fan the expensive
-	// labeling out across the shared pool: each frame retargets a warm
-	// worker, and the batch finishes when its slowest frame does.
-	// Results stay in part order by construction.
-	type frame struct {
-		idx int
-		img *bitmap.Bitmap
-	}
-	var frames []frame
-	items := []api.BatchItem{}
-	for {
-		part, err := mr.NextPart()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			dsp.EndErr(err)
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			} else {
-				WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading batch part %d: %v", len(items), err))
-			}
-			return
-		}
-		idx := len(items)
-		if idx >= s.cfg.MaxBatchFrames {
-			part.Close()
-			dsp.End()
-			WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds %d frames", s.cfg.MaxBatchFrames))
-			return
-		}
-		img, perr := s.decodePart(part, p)
-		part.Close()
-		if perr != nil {
-			items = append(items, api.BatchItem{Index: idx, Error: perr.Error()})
-			continue
-		}
-		items = append(items, api.BatchItem{Index: idx})
-		frames = append(frames, frame{idx: idx, img: img})
-	}
-	dsp.End()
-
-	var wg sync.WaitGroup
-	for _, f := range frames {
-		wg.Add(1)
-		go func(f frame) {
-			defer wg.Done()
-			fsp := sp.Child("frame")
-			if fsp != nil {
-				fsp.Annotate("i=" + strconv.Itoa(f.idx))
-			}
-			resp, _, err := s.runOne(obs.ContextWith(r.Context(), fsp), f.img, p, nil)
-			fsp.EndErr(err)
-			if err != nil {
-				items[f.idx].Error = err.Error()
-				return
-			}
-			items[f.idx].Result = resp.(*api.LabelResponse)
-		}(f)
-	}
-	wg.Wait()
-
-	out := api.BatchResponse{Frames: len(items), Results: items}
-	labeled := 0
-	for _, it := range items {
-		if it.Error != "" {
-			out.Errors++
-		}
-		if it.Result != nil {
-			labeled++
-		}
-	}
-	s.reg.addFrames(labeled)
-	WriteTraced(w, http.StatusOK, out, sp)
-}
-
-// decodePart decodes one multipart frame; the part's Content-Type
-// overrides the batch-level format parameter when present.
-func (s *Server) decodePart(part *multipart.Part, p api.Params) (*bitmap.Bitmap, error) {
-	format, err := imageio.ParseFormat(p.Format)
-	if err != nil {
-		return nil, err
-	}
-	if ct := part.Header.Get("Content-Type"); ct != "" {
-		if f := imageio.FormatFromContentType(ct); f != imageio.FormatAuto {
-			format = f
-		}
-	}
-	data, err := io.ReadAll(part)
-	if err != nil {
-		return nil, err
-	}
-	s.reg.addBytesIn(int64(len(data)))
-	return imageio.DecodeBytes(data, format, s.cfg.Limits)
-}
 
 // ToLabelResponse converts a label run's result to the wire form.
 func ToLabelResponse(res *core.Result, wantLabels bool) *api.LabelResponse {

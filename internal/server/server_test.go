@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -143,8 +141,16 @@ func TestLabelEndpointErrors(t *testing.T) {
 	if rec := postImage(t, s, api.PathLabel, bitmap.Random(32, 0.5, 2), imageio.FormatRaw, api.Params{}); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-limit image: %d", rec.Code)
 	}
-	req := httptest.NewRequest(http.MethodPost, api.PathLabel, bytes.NewReader(make([]byte, 4096)))
+	// A PBM header alone declares an over-limit image: refused from the
+	// header, before any raster exists.
+	req := httptest.NewRequest(http.MethodPost, api.PathLabel, strings.NewReader("P1 1048576 128 "))
 	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit PBM header: %d: %s", rec.Code, rec.Body.String())
+	}
+	req = httptest.NewRequest(http.MethodPost, api.PathLabel, bytes.NewReader(make([]byte, 4096)))
+	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d: %s", rec.Code, rec.Body.String())
@@ -256,94 +262,6 @@ func TestSeamScheduleParams(t *testing.T) {
 	}
 }
 
-func buildBatch(t *testing.T, frames []*bitmap.Bitmap, formats []imageio.Format, junkAt int) (*bytes.Buffer, string) {
-	t.Helper()
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	for i, img := range frames {
-		f := formats[i%len(formats)]
-		hdr := make(map[string][]string)
-		hdr["Content-Type"] = []string{f.ContentType()}
-		hdr["Content-Disposition"] = []string{fmt.Sprintf(`form-data; name="frame%d"; filename="frame%d"`, i, i)}
-		pw, err := mw.CreatePart(hdr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == junkAt {
-			pw.Write([]byte("P1\nnot a bitmap"))
-			continue
-		}
-		if err := imageio.Encode(pw, img, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mw.Close()
-	return &buf, mw.FormDataContentType()
-}
-
-// TestBatchEndpoint: mixed-format frames come back in part order,
-// bit-identical to in-process labeling, with a poisoned part reported
-// per-frame without failing the batch.
-func TestBatchEndpoint(t *testing.T) {
-	s := New(Config{Workers: 4})
-	const n = 9
-	junkAt := 4
-	frames := make([]*bitmap.Bitmap, n)
-	for i := range frames {
-		frames[i] = bitmap.Random(10+3*i, 0.45, uint64(i+1))
-	}
-	body, ctype := buildBatch(t, frames, imageio.Formats(), junkAt)
-	req := httptest.NewRequest(http.MethodPost, api.PathBatch+"?labels=1", body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("%d: %s", rec.Code, rec.Body.String())
-	}
-	resp := decodeJSON[api.BatchResponse](t, rec)
-	if resp.Frames != n || resp.Errors != 1 || len(resp.Results) != n {
-		t.Fatalf("frames %d errors %d results %d", resp.Frames, resp.Errors, len(resp.Results))
-	}
-	for i, item := range resp.Results {
-		if item.Index != i {
-			t.Fatalf("result %d carries index %d", i, item.Index)
-		}
-		if i == junkAt {
-			if item.Error == "" || item.Result != nil {
-				t.Fatalf("poisoned part %d: %+v", i, item)
-			}
-			continue
-		}
-		if item.Error != "" {
-			t.Fatalf("part %d: %s", i, item.Error)
-		}
-		want := wantLabels(t, frames[i], core.Options{})
-		if len(item.Result.Labels) != len(want) {
-			t.Fatalf("part %d: %d labels, want %d", i, len(item.Result.Labels), len(want))
-		}
-		for j := range want {
-			if item.Result.Labels[j] != want[j] {
-				t.Fatalf("part %d label[%d] = %d, want %d", i, j, item.Result.Labels[j], want[j])
-			}
-		}
-	}
-}
-
-// TestBatchFrameCap: one part over MaxBatchFrames fails the request
-// with 413.
-func TestBatchFrameCap(t *testing.T) {
-	s := New(Config{Workers: 1, MaxBatchFrames: 2})
-	frames := []*bitmap.Bitmap{bitmap.Random(8, 0.5, 1), bitmap.Random(8, 0.5, 2), bitmap.Random(8, 0.5, 3)}
-	body, ctype := buildBatch(t, frames, []imageio.Format{imageio.FormatRaw}, -1)
-	req := httptest.NewRequest(http.MethodPost, api.PathBatch, body)
-	req.Header.Set("Content-Type", ctype)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("%d: %s", rec.Code, rec.Body.String())
-	}
-}
-
 // TestAdmissionControl pins the full/empty transition deterministically
 // by filling the admission semaphore directly: at capacity every POST
 // sheds with 429 + Retry-After and counts in slapd_rejected_total; one
@@ -378,7 +296,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestConcurrentClientsAndDrain is the race-detector workout: many
-// concurrent clients across label and batch endpoints, a drain racing
+// concurrent clients across the label and aggregate endpoints, a drain racing
 // the tail of the load, every admitted request completing exactly once
 // (200 or 429, nothing else), and post-drain requests refused with 503.
 func TestConcurrentClientsAndDrain(t *testing.T) {
@@ -396,11 +314,7 @@ func TestConcurrentClientsAndDrain(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 6; round++ {
 				if c%3 == 0 {
-					body, ctype := buildBatch(t, frames[:3], []imageio.Format{imageio.FormatRaw, imageio.FormatPBM}, -1)
-					req := httptest.NewRequest(http.MethodPost, api.PathBatch, body)
-					req.Header.Set("Content-Type", ctype)
-					rec := httptest.NewRecorder()
-					s.ServeHTTP(rec, req)
+					rec := postImage(t, s, api.PathAggregate, frames[c], imageio.FormatPBM, api.Params{Op: "sum"})
 					codes <- rec.Code
 				} else {
 					rec := postImage(t, s, api.PathLabel, frames[c], imageio.FormatRaw, api.Params{WantLabels: c%2 == 0})
@@ -455,6 +369,19 @@ func TestConcurrentClientsAndDrain(t *testing.T) {
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second drain: %v", err)
+	}
+}
+
+// TestBatchPathGone: the multipart batch endpoint was retired, so its
+// old path is no longer routed and a POST there answers 404.
+func TestBatchPathGone(t *testing.T) {
+	s := New(Config{Workers: 1})
+	req := httptest.NewRequest(http.MethodPost, "/v1/label/batch", strings.NewReader("--x--"))
+	req.Header.Set("Content-Type", "multipart/form-data; boundary=x")
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("POST /v1/label/batch: %d, want 404", rec.Code)
 	}
 }
 
@@ -611,7 +538,7 @@ slapd_stage_seconds_bucket{stage="queue",le="10"} 2
 slapd_stage_seconds_bucket{stage="queue",le="+Inf"} 2
 slapd_stage_seconds_sum{stage="queue"} 0.5
 slapd_stage_seconds_count{stage="queue"} 2
-# HELP slapd_frames_labeled_total Frames labeled, counting every batch part.
+# HELP slapd_frames_labeled_total Frames labeled, one per successful label or aggregate request.
 # TYPE slapd_frames_labeled_total counter
 slapd_frames_labeled_total 1
 # HELP slapd_ingest_bytes_total Request body bytes accepted for decoding.

@@ -308,10 +308,6 @@ func (mc *Machine) N() int { return mc.n }
 // Cost returns the machine's cost model.
 func (mc *Machine) Cost() CostModel { return mc.cost }
 
-// PhaseCount returns how many phases the machine has executed since the
-// last Reset.
-func (mc *Machine) PhaseCount() int { return len(mc.metrics.Phases) }
-
 // PhaseMetricsAt returns the i-th executed phase by value, with any
 // per-PE profile dropped — the allocation-free read for composition
 // code that folds a phase and moves on. Metrics() remains the safe

@@ -145,80 +145,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[int(p*float64(len(sorted)-1))]
 }
 
-// MannWhitneyU runs the two-sided Mann–Whitney U test (normal
-// approximation with tie correction) on two independent sample sets and
-// returns the approximate p-value for the null hypothesis that the two
-// distributions are equal. It is the significance test behind the
-// benchmark diff: distribution-free, so benchmark noise needs no
-// normality assumption (the same choice benchstat makes). Fewer than 3
-// samples on either side cannot reach significance at any conventional
-// level, so the test returns p = 1 there rather than pretending.
-func MannWhitneyU(a, b []float64) float64 {
-	n1, n2 := len(a), len(b)
-	if n1 < 3 || n2 < 3 {
-		return 1
-	}
-	// Rank the pooled samples, mid-ranking ties.
-	type obs struct {
-		v     float64
-		group int
-	}
-	pooled := make([]obs, 0, n1+n2)
-	for _, v := range a {
-		pooled = append(pooled, obs{v, 0})
-	}
-	for _, v := range b {
-		pooled = append(pooled, obs{v, 1})
-	}
-	sort.Slice(pooled, func(i, j int) bool { return pooled[i].v < pooled[j].v })
-	ranks := make([]float64, len(pooled))
-	tieTerm := 0.0 // Σ (t³ − t) over tie groups, for the variance correction
-	for i := 0; i < len(pooled); {
-		j := i
-		for j < len(pooled) && pooled[j].v == pooled[i].v {
-			j++
-		}
-		mid := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			ranks[k] = mid
-		}
-		if t := float64(j - i); t > 1 {
-			tieTerm += t*t*t - t
-		}
-		i = j
-	}
-	r1 := 0.0
-	for i, o := range pooled {
-		if o.group == 0 {
-			r1 += ranks[i]
-		}
-	}
-	u1 := r1 - float64(n1)*float64(n1+1)/2
-	mean := float64(n1) * float64(n2) / 2
-	nf, n1f, n2f := float64(n1+n2), float64(n1), float64(n2)
-	variance := n1f * n2f / 12 * (nf + 1 - tieTerm/(nf*(nf-1)))
-	if variance <= 0 {
-		// Every sample identical: the distributions are indistinguishable.
-		return 1
-	}
-	// Continuity-corrected z; two-sided p from the normal tail.
-	z := math.Abs(u1-mean) - 0.5
-	if z < 0 {
-		z = 0
-	}
-	z /= math.Sqrt(variance)
-	return 2 * normTail(z)
-}
-
-// normTail returns P(Z > z) for the standard normal distribution.
-func normTail(z float64) float64 {
-	p := 0.5 * math.Erfc(z/math.Sqrt2)
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
 // Log2 returns the base-2 logarithm of n as a float64; Log2(0) and Log2(1)
 // return 1 so that quantities like n·lg n stay positive for tiny n.
 func Log2(n int) float64 {
@@ -226,12 +152,4 @@ func Log2(n int) float64 {
 		return 1
 	}
 	return math.Log2(float64(n))
-}
-
-// Ratio returns a/b, or 0 when b is zero; convenient for metric tables.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

@@ -151,7 +151,7 @@ type Labeler = core.Labeler
 // Labeler is not safe for concurrent use.
 func NewLabeler(opt Options) *Labeler { return core.NewLabeler(opt) }
 
-// LabelerPool shards Label calls across a fixed set of reusable
+// LabelerPool shards runs across a fixed set of reusable
 // labelers — the concurrent-use form of Labeler: up to Workers() calls
 // run in parallel, each on its own warm arenas.
 type LabelerPool = core.LabelerPool
@@ -160,25 +160,6 @@ type LabelerPool = core.LabelerPool
 // selects GOMAXPROCS).
 func NewLabelerPool(opt Options, workers int) *LabelerPool {
 	return core.NewLabelerPool(opt, workers)
-}
-
-// StreamResult is one frame's outcome from a LabelStream.
-type StreamResult = core.StreamResult
-
-// LabelStream labels a stream of independent frames across a pool of
-// worker labelers, delivering results to a sink in submission order.
-// On a multicore host the aggregate frame throughput scales with the
-// workers (each frame's whole simulation runs in parallel with the
-// others'); with one worker — the GOMAXPROCS default on a single-core
-// host — it degenerates to a plain reused Labeler, never slower.
-type LabelStream = core.LabelStream
-
-// NewLabelStream returns a stream labeling frames under opt on workers
-// worker labelers (≤ 0 selects GOMAXPROCS), delivering each frame's
-// StreamResult to sink in submission order. Call Submit per frame and
-// Close to drain.
-func NewLabelStream(opt Options, workers int, sink func(StreamResult)) *LabelStream {
-	return core.NewLabelStream(opt, workers, sink)
 }
 
 // Label runs Algorithm CC on img under default options.

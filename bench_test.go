@@ -205,20 +205,26 @@ func BenchmarkE11Speculation(b *testing.B) {
 // oracle for soaks (cost=host on the wire). The "sim" row is the raw
 // host-side simulation speed (pixels simulated per wall second), the
 // series earlier runs recorded as BenchmarkSimulatorThroughput/seq.
+// "host-2048" is a frame large enough for the host engine to label in
+// column bands, one per core (internal/hostcc), so the CI comparator
+// tracks the banded kernel.
 func BenchmarkEngineThroughput(b *testing.B) {
 	const n = 1024
 	img := bitmap.Random(n, 0.5, 1)
+	big := bitmap.Random(2*n, 0.5, 1)
 	for _, mode := range []struct {
 		name string
+		img  *bitmap.Bitmap
 		opt  core.Options
 	}{
-		{"sim", core.Options{}},
-		{"sim-bitserial", core.Options{Cost: slap.BitSerial(slap.WordBitsForDims(n, n))}},
-		{"host", core.Options{Engine: core.EngineHost}},
+		{"sim", img, core.Options{}},
+		{"sim-bitserial", img, core.Options{Cost: slap.BitSerial(slap.WordBitsForDims(n, n))}},
+		{"host", img, core.Options{Engine: core.EngineHost}},
+		{"host-2048", big, core.Options{Engine: core.EngineHost}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64(n * n))
-			benchLabel(b, img, mode.opt)
+			b.SetBytes(int64(mode.img.W() * mode.img.H()))
+			benchLabel(b, mode.img, mode.opt)
 		})
 	}
 }

@@ -165,6 +165,22 @@ func TestParseRaggedAndAliases(t *testing.T) {
 	}
 }
 
+// ArtDims must give exactly the dimensions Parse does, trimming and all.
+func TestArtDimsMatchParse(t *testing.T) {
+	for _, art := range []string{
+		"", "\n", " \n\t\n", "#", "#\n", "\n\n.#\n\n", "1X#\n0. \n_x1", "#\r\n##\r\n",
+		"#\n     \n#", "#\n\n\n##\n   \n\n", "  \n#.\n \v \n", "\r\n#\r\n\r\n",
+	} {
+		b, err := Parse(art)
+		if err != nil {
+			t.Fatalf("%q: %v", art, err)
+		}
+		if w, h := ArtDims([]byte(art)); w != b.W() || h != b.H() {
+			t.Fatalf("%q: ArtDims %dx%d, Parse %dx%d", art, w, h, b.W(), b.H())
+		}
+	}
+}
+
 func TestParseRejectsGarbage(t *testing.T) {
 	if _, err := Parse("#?#"); err == nil {
 		t.Fatal("want error for unrecognized pixel character")

@@ -48,6 +48,38 @@ func Parse(art string) (*Bitmap, error) {
 	return b, nil
 }
 
+// ArtDims returns the dimensions Parse gives art — the longest line and
+// the line count, under the same trimming of '\r' and of leading and
+// trailing blank lines — without allocating, so a decoder can check
+// them against its limits before Parse allocates the raster.
+func ArtDims(art []byte) (w, h int) {
+	blank, blankW := 0, 0 // blank lines since the last non-blank one, and the widest
+	for {
+		ln, rest, more := art, []byte(nil), false
+		if i := bytes.IndexByte(art, '\n'); i >= 0 {
+			ln, rest, more = art[:i], art[i+1:], true
+		}
+		ln = bytes.TrimSuffix(ln, []byte{'\r'})
+		switch {
+		case len(bytes.TrimSpace(ln)) != 0:
+			if h > 0 {
+				h += blank // interior blank lines are rows too
+				w = max(w, blankW)
+			}
+			h++
+			w = max(w, len(ln))
+			blank, blankW = 0, 0
+		case h > 0:
+			blank++
+			blankW = max(blankW, len(ln))
+		}
+		if !more {
+			return w, h
+		}
+		art = rest
+	}
+}
+
 // MustParse is Parse that panics on error, for test fixtures.
 func MustParse(art string) *Bitmap {
 	b, err := Parse(art)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"slapcc/internal/bitmap"
@@ -59,5 +60,55 @@ func TestMulticoreHostEngineStable(t *testing.T) {
 				t.Error("host engine labels diverged from simulator's canonical labels")
 			}
 		})
+	}
+}
+
+// TestMulticoreHostBands: a host frame large enough to run in column
+// bands (one per core, up to four here) answers exactly as it does on
+// one core, where it runs as one band: the labels, the folds, the
+// summary and the UF report, under both connectivities, with labels,
+// without them, and aggregating.
+func TestMulticoreHostBands(t *testing.T) {
+	img := bitmap.RandomRect(1024, 512, 0.55, 11)
+	initial := make([]int32, img.W()*img.H())
+	for i := range initial {
+		initial[i] = int32(i%29) - 9
+	}
+	type answer struct{ label, summary, agg *Result }
+	run := func(t *testing.T, conn bitmap.Connectivity) answer {
+		opt := Options{Engine: EngineHost, Connectivity: conn}
+		var a answer
+		a.label = mustLabel(t, img, opt)
+		opt.SkipLabels = true
+		a.summary = mustLabel(t, img, opt)
+		opt.SkipLabels = false
+		var err error
+		if a.agg, err = Aggregate(img, initial, Sum(), opt); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	for _, conn := range []bitmap.Connectivity{bitmap.Conn4, bitmap.Conn8} {
+		var want answer
+		atGMP(t, 1, func(t *testing.T) { want = run(t, conn) })
+		for _, p := range gmpSweep[1:] {
+			atGMP(t, p, func(t *testing.T) {
+				got := run(t, conn)
+				for _, c := range []struct {
+					name      string
+					got, want *Result
+				}{{"label", got.label, want.label}, {"summary", got.summary, want.summary}, {"aggregate", got.agg, want.agg}} {
+					if *c.got.Summary != *c.want.Summary || c.got.UF != c.want.UF {
+						t.Errorf("conn%d %s: summary %+v UF %+v, one core %+v %+v", conn, c.name, *c.got.Summary, c.got.UF, *c.want.Summary, c.want.UF)
+					}
+					if (c.got.Labels == nil) != (c.want.Labels == nil) || c.got.Labels != nil && !c.got.Labels.Equal(c.want.Labels) {
+						t.Errorf("conn%d %s: labels differ from one core", conn, c.name)
+					}
+					if !slices.Equal(c.got.PerPixel, c.want.PerPixel) {
+						t.Errorf("conn%d %s: per-pixel folds differ from one core", conn, c.name)
+					}
+				}
+			})
+		}
 	}
 }

@@ -165,3 +165,163 @@ func TestEmptyAndDegenerate(t *testing.T) {
 		}
 	}
 }
+
+// bandCases are the frames the band tests split: every family at
+// widths that are not multiples of 64, non-square random frames, frames
+// with fewer 64-column blocks than bands, and the empty and full
+// frames, whose one component (full) spans every seam.
+func bandCases() map[string]*bitmap.Bitmap {
+	cases := map[string]*bitmap.Bitmap{}
+	for _, fam := range bitmap.Families() {
+		for _, n := range []int{100, 200, 257} {
+			cases[fmt.Sprintf("%s n=%d", fam.Name, n)] = fam.Generate(n)
+		}
+	}
+	seed := uint64(0xBA4D)
+	for _, sh := range [][2]int{{1, 9}, {63, 40}, {64, 64}, {65, 33}, {130, 5}, {300, 70}, {513, 37}} {
+		for _, d := range []float64{0.3, 0.6} {
+			cases[fmt.Sprintf("random %dx%d d=%.1f", sh[0], sh[1], d)] = bitmap.RandomRect(sh[0], sh[1], d, seed)
+			seed++
+		}
+	}
+	for _, sh := range [][2]int{{0, 0}, {0, 5}, {130, 0}} {
+		cases[fmt.Sprintf("empty %dx%d", sh[0], sh[1])] = bitmap.New(sh[0], sh[1])
+	}
+	return cases
+}
+
+// banded returns a labeler forced to the given band count.
+func banded(bands int) *Labeler {
+	lb := NewLabeler()
+	lb.forceBands = bands
+	return lb
+}
+
+// TestBandsMatchOneBand: at every band count 1..8, Label, Summary and
+// Aggregate (sum and min) return the one-band labels, folds and Stats
+// exactly, under both connectivities. One labeler per band count is
+// reused across every frame, so arenas left by a different shape or
+// band split are exercised too.
+func TestBandsMatchOneBand(t *testing.T) {
+	minimum := func(a, b int32) int32 { return min(a, b) }
+	sum := func(a, b int32) int32 { return a + b }
+	one := banded(1)
+	labelers := make([]*Labeler, 9)
+	for k := 2; k <= 8; k++ {
+		labelers[k] = banded(k)
+	}
+	for name, img := range bandCases() {
+		initial := make([]int32, img.W()*img.H())
+		for i := range initial {
+			initial[i] = int32(i%23) - 7
+		}
+		for _, conn := range conns {
+			wantLab, wantSt := one.Label(img, conn)
+			sumLab, sumPer, sumSt := one.Aggregate(img, initial, 0, sum, conn)
+			minLab, minPer, minSt := one.Aggregate(img, initial, math.MaxInt32, minimum, conn)
+			if sumSt != wantSt || minSt != wantSt || one.Summary(img, conn) != wantSt {
+				t.Fatalf("%s conn%d: one-band stats disagree across Label, Summary and Aggregate", name, conn)
+			}
+			for k := 2; k <= 8; k++ {
+				lb := labelers[k]
+				where := fmt.Sprintf("%s conn%d bands=%d", name, conn, k)
+				if got, st := lb.Label(img, conn); !got.Equal(wantLab) || st != wantSt {
+					t.Fatalf("%s: Label differs from one band (stats %+v, want %+v)", where, st, wantSt)
+				}
+				if st := lb.Summary(img, conn); st != wantSt {
+					t.Fatalf("%s: Summary %+v, want %+v", where, st, wantSt)
+				}
+				for _, m := range []struct {
+					name     string
+					identity int32
+					combine  func(a, b int32) int32
+					lab      *bitmap.LabelMap
+					per      []int32
+				}{{"sum", 0, sum, sumLab, sumPer}, {"min", math.MaxInt32, minimum, minLab, minPer}} {
+					lab, per, st := lb.Aggregate(img, initial, m.identity, m.combine, conn)
+					if !lab.Equal(m.lab) || st != wantSt {
+						t.Fatalf("%s: Aggregate(%s) labels or stats differ from one band", where, m.name)
+					}
+					for i := range per {
+						if per[i] != m.per[i] {
+							t.Fatalf("%s: Aggregate(%s) per-pixel[%d] = %d, one band %d", where, m.name, i, per[i], m.per[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBandSplit pins how frames are cut: whole 64-column blocks,
+// never more bands than blocks, and one band below the area threshold.
+func TestBandSplit(t *testing.T) {
+	for _, c := range []struct{ force, w, h, want int }{
+		{8, 100, 10, 2}, {8, 64, 10, 1}, {8, 0, 0, 1}, {3, 257, 4, 3}, {2, 2048, 1, 2},
+		{0, 256, 256, 1}, {0, 128, 512, 1}, // under 2·minBandPixels: one band at any core count
+	} {
+		lb := banded(c.force)
+		lb.split(c.w, c.h)
+		if len(lb.bands) != c.want {
+			t.Fatalf("%+v: %d bands, want %d", c, len(lb.bands), c.want)
+		}
+		x := 0
+		for i, b := range lb.bands {
+			if b.x0 != x || b.x1 <= b.x0 && c.w > 0 || b.x0&63 != 0 {
+				t.Fatalf("%+v: band %d covers [%d, %d) after %d", c, i, b.x0, b.x1, x)
+			}
+			x = b.x1
+		}
+		if x != c.w {
+			t.Fatalf("%+v: bands end at column %d", c, x)
+		}
+	}
+}
+
+// A panic in a band goroutine reaches the caller's goroutine, where a
+// recover (slapd's per-request one) can catch it, and the labeler
+// still works afterwards.
+func TestBandPanicReachesCaller(t *testing.T) {
+	img := bitmap.RandomRect(256, 16, 0.5, 3)
+	initial := make([]int32, 256*16)
+	for i := 192 * 16; i < len(initial); i++ {
+		initial[i] = -1 // every pixel of the last band's columns
+	}
+	lb := banded(4)
+	boom := func(a, b int32) int32 {
+		if b < 0 {
+			panic("boom")
+		}
+		return a + b
+	}
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Fatalf("recovered %v, want the band's panic", p)
+			}
+		}()
+		lb.Aggregate(img, initial, 0, boom, bitmap.Conn4)
+		t.Fatal("Aggregate returned; the band's panic was lost")
+	}()
+	got, _ := lb.Label(img, bitmap.Conn4)
+	checkLabels(t, "after panic", img, bitmap.Conn4, got)
+}
+
+// BenchmarkSummaryBands times Summary on random 0.5-density frames at
+// one band and at two, the measurement behind minBandPixels:
+//
+//	go test -run '^$' -bench SummaryBands -cpu 2 ./internal/hostcc
+func BenchmarkSummaryBands(b *testing.B) {
+	for _, n := range []int{128, 256, 512, 1024, 2048} {
+		img := bitmap.Random(n, 0.5, 1)
+		for _, bands := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/bands=%d", n, bands), func(b *testing.B) {
+				lb := banded(bands)
+				b.SetBytes(int64(n * n))
+				for i := 0; i < b.N; i++ {
+					lb.Summary(img, bitmap.Conn4)
+				}
+			})
+		}
+	}
+}

@@ -165,10 +165,9 @@ func Sniff(data []byte) Format {
 }
 
 // DecodeBytes decodes data as format (FormatAuto sniffs) into a Bitmap,
-// enforcing limits. PNG, SLR1 and PBM declare their dimensions in a
-// header, which is checked before the raster is allocated; ASCII art
-// has no header, so its dimensions are checked after parsing, which
-// allocates in proportion to the body the caller already holds.
+// enforcing limits before the raster is allocated: PNG, SLR1 and PBM
+// declare their dimensions in a header, and ASCII art's are its line
+// count and longest line, which a scan of the body finds.
 func DecodeBytes(data []byte, format Format, limits Limits) (*bitmap.Bitmap, error) {
 	if format == FormatAuto || format == "" {
 		format = Sniff(data)
@@ -188,11 +187,10 @@ func DecodeBytes(data []byte, format Format, limits Limits) (*bitmap.Bitmap, err
 		}
 		return img, limits.Check(img.W(), img.H())
 	case FormatArt:
-		img, err := bitmap.Parse(string(data))
-		if err != nil {
+		if err := limits.Check(bitmap.ArtDims(data)); err != nil {
 			return nil, err
 		}
-		return img, limits.Check(img.W(), img.H())
+		return bitmap.Parse(string(data))
 	case FormatRaw:
 		return decodeRaw(data, limits)
 	default:

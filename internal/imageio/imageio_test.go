@@ -146,6 +146,29 @@ func TestPBMLimitFromHeader(t *testing.T) {
 	}
 }
 
+// artBomb is 12,286 bytes of ASCII art declaring a 4096×4096 raster:
+// one 4096-character line, then 4095 one-pixel lines.
+func artBomb() []byte {
+	return append(bytes.Repeat([]byte{'.'}, 4096), bytes.Repeat([]byte("\n#"), 4095)...)
+}
+
+// TestArtLimitBeforeParse: ASCII art is checked against the limits
+// before its raster exists; the bomb used to allocate 2.2 MB first.
+func TestArtLimitBeforeParse(t *testing.T) {
+	data := artBomb()
+	limits := Limits{MaxWidth: 256, MaxHeight: 256}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBytes(data, FormatAuto, limits)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrLimit) {
+		t.Fatalf("over-limit art: %v, want ErrLimit", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("rejecting the art allocated %d bytes, want < 64 KiB", got)
+	}
+}
+
 // TestDecodeErrors: garbage input fails per codec with a useful error
 // rather than panicking, including binary junk sniffed as art.
 func TestDecodeErrors(t *testing.T) {
@@ -197,6 +220,7 @@ func FuzzDecodeBytes(f *testing.F) {
 		}
 	}
 	f.Add([]byte("P1 1048576 128 "), uint8(0))
+	f.Add(artBomb(), uint8(0))
 	f.Add(pngSignature, uint8(0))
 	f.Add([]byte("SLR1\x05\x00\x00\x00"), uint8(0))
 	limits := Limits{MaxWidth: 64, MaxHeight: 64, MaxPixels: 2048}

@@ -337,22 +337,34 @@ type Entry struct {
 	Desc string
 }
 
+// A coordinator grafts every backend's Server-Timing header into its own
+// trace, so ParseServerTiming bounds what one header can add: at most
+// maxTimingEntries entries, each at most maxTimingDepth dotted levels
+// deep (deeper entries are dropped). The daemons' own headers stay far
+// inside both: a coordinator's deepest path, a backend stage grafted
+// under its attempt (fanout.strip.attempt.label.strip), has five
+// levels, and a strip-mined frame renders one entry per strip.
+const (
+	maxTimingEntries = 4096
+	maxTimingDepth   = 16
+)
+
 // ParseServerTiming parses a Server-Timing header value, preserving
 // entry order (the renderer's depth-first order is what lets Graft
-// rebuild the tree).
+// rebuild the tree), within maxTimingEntries and maxTimingDepth.
 func ParseServerTiming(h string) []Entry {
 	var out []Entry
-	for _, part := range strings.Split(h, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+	for h != "" && len(out) < maxTimingEntries {
+		var part string
+		part, h, _ = strings.Cut(h, ",")
+		name, params, _ := strings.Cut(part, ";")
+		e := Entry{Name: strings.TrimSpace(name)}
+		if e.Name == "" || strings.Count(e.Name, ".") >= maxTimingDepth {
 			continue
 		}
-		fields := strings.Split(part, ";")
-		e := Entry{Name: strings.TrimSpace(fields[0])}
-		if e.Name == "" {
-			continue
-		}
-		for _, f := range fields[1:] {
+		for params != "" {
+			var f string
+			f, params, _ = strings.Cut(params, ";")
 			k, v, ok := strings.Cut(strings.TrimSpace(f), "=")
 			if !ok {
 				continue

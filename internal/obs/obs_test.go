@@ -77,6 +77,30 @@ func TestParseServerTimingRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseServerTiming: no header panics the parser or the graft, and
+// none yields more entries, or deeper ones, than the caps allow.
+func FuzzParseServerTiming(f *testing.F) {
+	f.Add(`queue;dur=0.5, decode;dur=1.25, label;dur=40;desc=cancelled, label.strip;dur=20, junk, ;dur=3`)
+	f.Add(`fanout.strip.attempt.label.strip;dur=1;desc="busy", a..b;dur=NaN;dur=-1e400;;=;desc`)
+	f.Add(strings.Repeat("a.", maxTimingDepth) + "b;dur=1, c;dur=2")
+	f.Add(strings.Repeat("s;dur=1,", maxTimingEntries+1))
+	f.Fuzz(func(t *testing.T, h string) {
+		es := ParseServerTiming(h)
+		if len(es) > maxTimingEntries {
+			t.Fatalf("%d entries, cap %d", len(es), maxTimingEntries)
+		}
+		for _, e := range es {
+			if e.Name == "" || strings.Count(e.Name, ".") >= maxTimingDepth {
+				t.Fatalf("entry %q kept", e.Name)
+			}
+		}
+		tr := New("fuzz", "label", stubClock(time.Millisecond))
+		tr.Root().Graft(es)
+		tr.Finish()
+		_ = tr.ServerTiming()
+	})
+}
+
 // TestGraftRebuildsTree: a backend's flat Server-Timing grafts back
 // into a nested tree, repeated strip entries landing as siblings, and
 // the merged trace renders both tiers with the attempt prefix.

@@ -20,6 +20,17 @@
 // When the service's admission queue is full it answers 429 with a
 // Retry-After header (whole seconds); everything else non-2xx carries a
 // JSON ErrorResponse.
+//
+// # Answer encodings
+//
+// A 200 answer is JSON unless the request's Accept header names
+// ContentTypeLabels; then it is the binary labels frame
+// (AppendLabelsFrame, DecodeLabelsFrame; docs/SLR1.md, "Labels frame"):
+// the same JSON without the labels and per_pixel arrays, followed by
+// those arrays as little-endian int32s. Every 200 answer offers the
+// frame in its HeaderOffer header; the client package asks for the
+// frame from a server whose last answer offered it, and decodes either
+// encoding by the response's Content-Type.
 package api
 
 import (

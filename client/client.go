@@ -12,6 +12,12 @@
 // engine — identical labels and folds, resp.Metrics all zeros by
 // contract (docs/ARCHITECTURE.md, "The engine layer").
 //
+// Run requests ask for the binary labels frame (api.ContentTypeLabels)
+// once the server's last answer offered it (api.HeaderOffer), and
+// decode whichever encoding the server answers with, so the typed
+// results are the same against a server or proxy that only speaks
+// JSON.
+//
 // One Client is safe for concurrent use and keeps connections alive
 // across requests (the load generator drives thousands of frames per
 // connection through it). Every POST body is a replayable byte slice
@@ -40,10 +46,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"mime"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -67,6 +75,10 @@ type Client struct {
 	sleep func(ctx context.Context, d time.Duration) error
 	now   func() time.Time
 	rnd   func() float64
+
+	// frames: the last answer offered the labels frame, so run requests
+	// ask for it.
+	frames atomic.Bool
 }
 
 // Option customizes a Client.
@@ -332,6 +344,12 @@ func (c *Client) postOnce(ctx context.Context, url string, body []byte, contentT
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
+	// Ask for the labels frame only from a server that offered it: an
+	// intermediary that reads answers as JSON and passes the request's
+	// headers through would otherwise be handed a frame.
+	if c.frames.Load() {
+		req.Header.Set("Accept", acceptAnswer)
+	}
 	if id := api.RequestIDFromContext(ctx); id != "" {
 		req.Header.Set(api.HeaderRequestID, id)
 	}
@@ -348,9 +366,10 @@ func (c *Client) postOnce(ctx context.Context, url string, body []byte, contentT
 		defer drain(resp)
 		return c.statusError(resp)
 	}
-	err = json.NewDecoder(resp.Body).Decode(out)
+	err = decodeAnswer(resp, out)
 	drain(resp)
 	if err == nil {
+		c.frames.Store(resp.Header.Get(api.HeaderOffer) == api.ContentTypeLabels)
 		// Graft the server's stage breakdown into the caller's trace (a
 		// no-op when the context carries none): a traced caller sees one
 		// tree spanning both tiers. Only the successful attempt grafts,
@@ -360,6 +379,24 @@ func (c *Client) postOnce(ctx context.Context, url string, body []byte, contentT
 		}
 	}
 	return err
+}
+
+// acceptAnswer is the Accept header of a run request to a server that
+// offers the labels frame: the frame first, JSON as the fallback.
+const acceptAnswer = api.ContentTypeLabels + ", application/json"
+
+// decodeAnswer decodes a 200 answer into out by its Content-Type: a
+// labels frame read whole (a body cut short fails with
+// io.ErrUnexpectedEOF, as JSON decoding's does), JSON otherwise.
+func decodeAnswer(resp *http.Response, out any) error {
+	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != api.ContentTypeLabels {
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	return api.DecodeLabelsFrame(b, out)
 }
 
 // backoffWait is attempt k's capped exponential backoff with jitter:

@@ -4,7 +4,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -120,6 +122,83 @@ func TestClientAggregate(t *testing.T) {
 		t.Fatalf("pipelined aggregate time %d, want %d", pipeAgg.Metrics.TimeSteps, wantPipe.Metrics.Time)
 	}
 
+}
+
+// TestClientDecodesEitherEncoding: a client asks for the labels frame
+// once a server's answer has offered it, and reads an answer the same
+// whether it comes as the frame or as JSON, labels and folds included.
+// Through a proxy that passes Accept upstream but answers JSON without
+// the offer, it never asks for the frame.
+func TestClientDecodesEitherEncoding(t *testing.T) {
+	hs, _ := testServer(t, server.Config{Workers: 2})
+	var proxyAccepts, types []string
+	var mu sync.Mutex
+	rewriter := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		proxyAccepts = append(proxyAccepts, r.Header.Get("Accept"))
+		mu.Unlock()
+		rec := httptest.NewRecorder()
+		hs.Config.Handler.ServeHTTP(rec, r)
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("the JSON-only proxy was answered with %q", ct)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(rewriter.Close)
+	framed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hs.Config.Handler.ServeHTTP(w, r)
+		mu.Lock()
+		types = append(types, w.Header().Get("Content-Type"))
+		mu.Unlock()
+	}))
+	t.Cleanup(framed.Close)
+
+	img := slapcc.RandomImage(24, 0.5, 5)
+	ctx := context.Background()
+	viaProxy, direct := New(rewriter.URL), New(framed.URL)
+	for _, p := range []api.Params{{WantLabels: true}, {ArrayWidth: 8, WantLabels: true}, {}} {
+		fromJSON, err := viaProxy.Label(ctx, img, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFrame, err := direct.Label(ctx, img, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fromJSON, fromFrame) {
+			t.Fatalf("%+v: JSON answer %+v, frame answer %+v", p, fromJSON, fromFrame)
+		}
+		p.Op = "min"
+		p.Initial = "positions"
+		aggJSON, err := viaProxy.Aggregate(ctx, img, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggFrame, err := direct.Aggregate(ctx, img, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(aggJSON, aggFrame) {
+			t.Fatalf("%+v: JSON answer %+v, frame answer %+v", p, aggJSON, aggFrame)
+		}
+	}
+	for _, a := range proxyAccepts {
+		if a != "" {
+			t.Fatalf("client sent Accept %q through a proxy that never offered the frame", a)
+		}
+	}
+	// The first answer comes before any offer; every later one is the
+	// frame.
+	if types[0] != "application/json" {
+		t.Fatalf("first answer %q, want JSON", types[0])
+	}
+	for _, ct := range types[1:] {
+		if ct != api.ContentTypeLabels {
+			t.Fatalf("server answered a client it had offered the frame with %q", ct)
+		}
+	}
 }
 
 // TestClientRetryOn429: the client sleeps out the Retry-After hint and

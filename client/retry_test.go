@@ -58,6 +58,22 @@ func tooMany(retryAfter string) scriptStep {
 	return scriptStep{status: http.StatusTooManyRequests, header: h, body: `{"error":"queue full"}`}
 }
 
+// framed answers 200 with body as a labels frame.
+func framed(body string) scriptStep {
+	h := http.Header{}
+	h.Set("Content-Type", api.ContentTypeLabels)
+	return scriptStep{status: http.StatusOK, header: h, body: body}
+}
+
+// halfFrame is the first half of a 4×4 answer's labels frame.
+func halfFrame() string {
+	frame, err := api.AppendLabelsFrame(nil, &api.LabelResponse{Width: 4, Height: 4, Labels: make([]int32, 16)})
+	if err != nil {
+		panic(err)
+	}
+	return string(frame[:len(frame)/2])
+}
+
 // stubClient wires a Client to the script with a recording stub clock:
 // sleeps are captured, never slept; now is frozen; jitter is zero, so
 // backoff waits are exactly half the nominal step.
@@ -167,6 +183,15 @@ func TestRetrySchedule(t *testing.T) {
 		{
 			name:      "truncated response body retried",
 			steps:     []scriptStep{ok(`{"width":`), ok("{}")},
+			wantCalls: 2,
+			wantWaits: []time.Duration{25 * time.Millisecond},
+		},
+		{
+			// A labels frame cut short (the chaos Truncate fault: the
+			// full Content-Length advertised, half the body sent) is a
+			// truncated transfer like a cut JSON body.
+			name:      "truncated labels frame retried",
+			steps:     []scriptStep{framed(halfFrame()), ok("{}")},
 			wantCalls: 2,
 			wantWaits: []time.Duration{25 * time.Millisecond},
 		},

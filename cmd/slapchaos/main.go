@@ -32,7 +32,10 @@
 //	latency:N:D:W      delay backend N's requests by D for window W
 //	err500:N:W         backend N answers 500 for window W
 //	truncate:N:W       backend N truncates response bodies for window W
-//	burst:C            fire C concurrent no-retry requests (overload)
+//	burst:C            fire C concurrent no-retry requests (overload;
+//	                   C ≤ 256)
+//
+// Delays and windows must not be negative.
 //
 // Exit status is nonzero on any SLO breach; the JSON report (same
 // BENCH_*.json idiom as slapload) records what happened either way.
@@ -183,8 +186,13 @@ type event struct {
 	raw     string
 }
 
+// maxBurst caps a burst's size: each request of a burst is a goroutine
+// and a connection of its own.
+const maxBurst = 256
+
 // parseSchedule parses "OFFSET:KIND[:ARGS];..." into time-ordered
-// events, validating backend indices against the fleet size.
+// events, validating backend indices against the fleet size, delays
+// and windows against zero and burst sizes against maxBurst.
 func parseSchedule(s string, backends int) ([]event, error) {
 	var evs []event
 	for _, entry := range strings.Split(s, ";") {
@@ -208,6 +216,13 @@ func parseSchedule(s string, backends int) ([]event, error) {
 			}
 			return n, nil
 		}
+		span := func(what, s string) (time.Duration, error) {
+			d, err := time.ParseDuration(s)
+			if err != nil || d < 0 {
+				return 0, fmt.Errorf("schedule entry %q: bad %s %q", entry, what, s)
+			}
+			return d, nil
+		}
 		args := parts[2:]
 		switch ev.kind {
 		case "kill", "restart":
@@ -224,11 +239,11 @@ func parseSchedule(s string, backends int) ([]event, error) {
 			if ev.backend, err = idx(args[0]); err != nil {
 				return nil, err
 			}
-			if ev.delay, err = time.ParseDuration(args[1]); err != nil {
-				return nil, fmt.Errorf("schedule entry %q: bad delay: %w", entry, err)
+			if ev.delay, err = span("delay", args[1]); err != nil {
+				return nil, err
 			}
-			if ev.window, err = time.ParseDuration(args[2]); err != nil {
-				return nil, fmt.Errorf("schedule entry %q: bad window: %w", entry, err)
+			if ev.window, err = span("window", args[2]); err != nil {
+				return nil, err
 			}
 		case "err500", "truncate":
 			if len(args) != 2 {
@@ -237,15 +252,15 @@ func parseSchedule(s string, backends int) ([]event, error) {
 			if ev.backend, err = idx(args[0]); err != nil {
 				return nil, err
 			}
-			if ev.window, err = time.ParseDuration(args[1]); err != nil {
-				return nil, fmt.Errorf("schedule entry %q: bad window: %w", entry, err)
+			if ev.window, err = span("window", args[1]); err != nil {
+				return nil, err
 			}
 		case "burst":
 			if len(args) != 1 {
 				return nil, fmt.Errorf("schedule entry %q: want burst:CONCURRENCY", entry)
 			}
-			if ev.burst, err = strconv.Atoi(args[0]); err != nil || ev.burst < 1 {
-				return nil, fmt.Errorf("schedule entry %q: bad burst size", entry)
+			if ev.burst, err = strconv.Atoi(args[0]); err != nil || ev.burst < 1 || ev.burst > maxBurst {
+				return nil, fmt.Errorf("schedule entry %q: bad burst size (want 1..%d)", entry, maxBurst)
 			}
 		default:
 			return nil, fmt.Errorf("schedule entry %q: unknown kind %q", entry, ev.kind)
@@ -310,7 +325,7 @@ func run(args []string, out io.Writer) error {
 		sizes    = fs.String("sizes", "48,96", "comma-separated square frame sizes")
 		array    = fs.Int("array", 16, "array width for strip-mined traffic (0 = whole-image only)")
 		density  = fs.Float64("density", 0.5, "foreground density of generated frames")
-		schedule = fs.String("schedule", "", "fault schedule OFFSET:KIND[:ARGS];... (empty = a default kill/latency/err500/burst mix scaled to -duration)")
+		schedule = fs.String("schedule", "", fmt.Sprintf("fault schedule OFFSET:KIND[:ARGS];... with non-negative delays and windows and bursts of at most %d (empty = a default kill/latency/err500/burst mix scaled to -duration)", maxBurst))
 		p99max   = fs.Duration("p99max", 10*time.Second, "SLO: p99 latency bound (0 disables)")
 		hedgeDly = fs.Duration("hedgedelay", 50*time.Millisecond, "slapfront hedge delay floor")
 		hedgeMax = fs.Int("hedgemax", 2, "slapfront hedges per request (0 disables)")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -57,11 +58,56 @@ func TestParseSchedule(t *testing.T) {
 		"5s:latency:0:1s", // missing window
 		"5s:burst:0",      // zero burst
 		"kill:0",          // missing offset
+		"5s:latency:0:-1ms:2s",
+		"5s:latency:0:1ms:-2s",
+		"5s:err500:1:-1s",
+		"5s:truncate:1:-1s",
 	} {
 		if _, err := parseSchedule(bad, 3); err == nil {
 			t.Errorf("schedule %q accepted", bad)
 		}
 	}
+}
+
+// TestScheduleBurstCap: a burst of maxBurst — the cap -schedule's help
+// names — parses, one more does not (checked by parsing alone; no
+// burst is fired).
+func TestScheduleBurstCap(t *testing.T) {
+	if _, err := parseSchedule("0s:burst:"+strconv.Itoa(maxBurst), 1); err != nil {
+		t.Fatalf("a burst of the cap refused: %v", err)
+	}
+	if _, err := parseSchedule("0s:burst:"+strconv.Itoa(maxBurst+1), 1); err == nil {
+		t.Fatal("a burst past the cap accepted")
+	}
+}
+
+// FuzzParseSchedule: no schedule string panics, and every schedule
+// that parses is in time order with offsets, delays and windows
+// non-negative, backends in the fleet and bursts within maxBurst.
+func FuzzParseSchedule(f *testing.F) {
+	for _, seed := range []string{
+		"", "10s:kill:1; 5s:latency:0:100ms:2s ;20s:burst:8", "5s:restart:2;6s:err500:1:3s;7s:truncate:0:1s",
+		"5s:latency:0:-1ms:2s", "5s:burst:999999999999", "-1s:kill:0", ";;:", "1h:burst:256",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		evs, err := parseSchedule(s, 3)
+		if err != nil {
+			return
+		}
+		for i, ev := range evs {
+			if ev.at < 0 || ev.delay < 0 || ev.window < 0 || ev.backend < 0 || ev.backend >= 3 {
+				t.Fatalf("%q parsed to %+v", s, ev)
+			}
+			if ev.kind == "burst" && (ev.burst < 1 || ev.burst > maxBurst) {
+				t.Fatalf("%q parsed to a burst of %d", s, ev.burst)
+			}
+			if i > 0 && evs[i-1].at > ev.at {
+				t.Fatalf("%q parsed out of order: %+v", s, evs)
+			}
+		}
+	})
 }
 
 // TestRunFlagErrors: bad flags fail before the fleet boots — in

@@ -42,6 +42,20 @@ func NewLabelMapNoInit(w, h int) *LabelMap {
 	return &LabelMap{w: w, h: h, lab: make([]int32, w*h)}
 }
 
+// LabelMapOf wraps lab, a column-major w×h labeling, as a LabelMap
+// without copying it: the map and the caller share the storage from
+// here on.
+func LabelMapOf(w, h int, lab []int32) *LabelMap {
+	if w < 0 || h < 0 || len(lab) != w*h {
+		panic(fmt.Sprintf("bitmap: %d labels for a %dx%d label map", len(lab), w, h))
+	}
+	return &LabelMap{w: w, h: h, lab: lab}
+}
+
+// Labels returns the map's whole column-major storage (index x·H + y).
+// Writes through it are writes to the map.
+func (lm *LabelMap) Labels() []int32 { return lm.lab }
+
 // W returns the width.
 func (lm *LabelMap) W() int { return lm.w }
 

@@ -113,3 +113,23 @@ func TestConnectivity(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelMapOf: the wrapped map reads and writes the caller's slice
+// in place, and a slice of the wrong length is refused.
+func TestLabelMapOf(t *testing.T) {
+	lab := []int32{0, Background, Background, 3}
+	lm := LabelMapOf(2, 2, lab)
+	if lm.Get(1, 1) != 3 || lm.Get(0, 1) != Background {
+		t.Fatalf("LabelMapOf reads %v", lm.Labels())
+	}
+	lm.Set(1, 0, 9)
+	if lab[2] != 9 || &lm.Labels()[0] != &lab[0] {
+		t.Fatal("LabelMapOf copied its slice")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LabelMapOf accepted 4 labels for a 3x1 map")
+		}
+	}()
+	LabelMapOf(3, 1, lab)
+}

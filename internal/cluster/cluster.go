@@ -661,11 +661,14 @@ func writeDispatchError(w http.ResponseWriter, err error) {
 }
 
 // stripRunFromResponse reconstructs a core.StripRun from the wire
-// response to the sw×h strip's job. The dimensions the response claims
-// are checked against the job's before anything is sized by them: a
-// backend's answer is outside input. The wire omits Busy/NilRecvs/
-// per-PE profiles and the speculation stats — none of which ever
-// serialize in a composed response — so the composition over
+// response to the sw×h strip's job. A backend's answer is outside
+// input, so it is checked against the job before the stitch trusts it:
+// the dimensions and counts the response claims, and every label, which
+// must be Background or a strip-local position no later than its own
+// pixel's (a component's canonical label is its least position). The
+// labels are then wrapped in place as the strip's map. The wire omits
+// Busy/NilRecvs/per-PE profiles and the speculation stats — none of
+// which ever serialize in a composed response — so the composition over
 // reconstructed runs is byte-identical to the local tiler's.
 func stripRunFromResponse(resp *api.AggregateResponse, sw, h int, agg bool) (core.StripRun, error) {
 	if resp.Width != sw || resp.Height != h {
@@ -674,10 +677,14 @@ func stripRunFromResponse(resp *api.AggregateResponse, sw, h int, agg bool) (cor
 	if len(resp.Labels) != sw*h {
 		return core.StripRun{}, fmt.Errorf("cluster: strip response has %d labels, want %d", len(resp.Labels), sw*h)
 	}
-	lm := bitmap.NewLabelMap(sw, h)
-	for x := 0; x < sw; x++ {
-		copy(lm.ColumnSlice(x), resp.Labels[x*h:(x+1)*h])
+	for i, l := range resp.Labels {
+		// One unsigned compare: Background (−1) maps to 0, below every
+		// i+1, and any other negative label wraps past all of them.
+		if uint32(l+1) > uint32(i+1) {
+			return core.StripRun{}, fmt.Errorf("cluster: strip response labels position %d with %d, outside [0, %d]", i, l, i)
+		}
 	}
+	lm := bitmap.LabelMapOf(sw, h, resp.Labels)
 	m := slap.Metrics{
 		N:        resp.Metrics.ArrayWidth,
 		Time:     resp.Metrics.TimeSteps,
@@ -875,7 +882,7 @@ func (co *Coordinator) handleRun(agg bool) http.HandlerFunc {
 				writeDispatchError(w, err)
 				return
 			}
-			server.WriteTraced(w, http.StatusOK, server.Answer(resp, rq.op), root)
+			server.WriteAnswer(w, r, server.Answer(resp, rq.op))
 			return
 		}
 
@@ -906,7 +913,7 @@ func (co *Coordinator) handleRun(agg bool) http.HandlerFunc {
 			server.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		server.WriteTraced(w, http.StatusOK, server.Answer(server.ToAggregateResponse(res, rq.op, rq.p.WantLabels), rq.op), root)
+		server.WriteAnswer(w, r, server.Answer(server.ToAggregateResponse(res, rq.op, rq.p.WantLabels), rq.op))
 	}
 }
 

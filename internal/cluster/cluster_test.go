@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,6 +48,14 @@ func newFront(t *testing.T, backends []string, mutate func(*Config)) (*Coordinat
 // the status and the exact response bytes.
 func post(t *testing.T, base, path string, p api.Params, img *bitmap.Bitmap) (int, []byte) {
 	t.Helper()
+	code, _, body := postAccept(t, base, path, p, img, "")
+	return code, body
+}
+
+// postAccept is post with an Accept header (none when accept is empty),
+// also returning the response's Content-Type.
+func postAccept(t *testing.T, base, path string, p api.Params, img *bitmap.Bitmap, accept string) (int, string, []byte) {
+	t.Helper()
 	data, err := imageio.EncodeBytes(img, imageio.FormatRaw)
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +69,9 @@ func post(t *testing.T, base, path string, p api.Params, img *bitmap.Bitmap) (in
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", string(imageio.FormatRaw.ContentType()))
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +81,7 @@ func post(t *testing.T, base, path string, p api.Params, img *bitmap.Bitmap) (in
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, body
+	return resp.StatusCode, resp.Header.Get("Content-Type"), body
 }
 
 func testImage(t *testing.T) *bitmap.Bitmap {
@@ -124,6 +137,99 @@ func TestClusterBitIdenticalToLocal(t *testing.T) {
 				t.Fatalf("cluster response diverges from local:\nlocal:   %s\ncluster: %s", want, got)
 			}
 		})
+	}
+}
+
+// TestClusterFrameBitIdenticalToLocal: asked for the labels frame, the
+// coordinator answers every case of the matrix — strip fan-out, whole
+// image, aggregation, and with its fleet dead or absent, local
+// fallback — with a frame byte-for-byte a local slapd's, and the
+// labels and folds it carries equal the JSON answer's.
+func TestClusterFrameBitIdenticalToLocal(t *testing.T) {
+	ref := newSlapd(t)
+	b1, b2 := newSlapd(t), newSlapd(t)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	fronts := map[string]string{}
+	for name, backends := range map[string][]string{
+		"fleet":    {b1.URL, b2.URL},
+		"degraded": {dead.URL},
+		"local":    nil,
+	} {
+		_, front := newFront(t, backends, func(cfg *Config) { cfg.RetryBudget = 2 })
+		fronts[name] = front.URL
+	}
+	img := testImage(t)
+
+	for _, tc := range clusterCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, jsonBody := postAccept(t, ref.URL, tc.path, tc.p, img, "")
+			code, ct, want := postAccept(t, ref.URL, tc.path, tc.p, img, api.ContentTypeLabels)
+			if code != http.StatusOK || ct != api.ContentTypeLabels {
+				t.Fatalf("local: status %d, Content-Type %q", code, ct)
+			}
+			var fromJSON, fromFrame api.AggregateResponse
+			if err := json.Unmarshal(jsonBody, &fromJSON); err != nil {
+				t.Fatal(err)
+			}
+			if err := api.DecodeLabelsFrame(want, &fromFrame); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fromJSON, fromFrame) {
+				t.Fatalf("frame decodes to %+v, JSON to %+v", fromFrame, fromJSON)
+			}
+			for name, url := range fronts {
+				code, ct, got := postAccept(t, url, tc.path, tc.p, img, api.ContentTypeLabels)
+				if code != http.StatusOK || ct != api.ContentTypeLabels {
+					t.Fatalf("%s: status %d, Content-Type %q (body %q)", name, code, ct, got)
+				}
+				if !bytes.Equal(want, got) {
+					t.Fatalf("%s: cluster frame diverges from local:\nlocal:   %q\ncluster: %q", name, want, got)
+				}
+			}
+		})
+	}
+}
+
+// TestClusterAsksBackendsForFrame: once a backend's answer has offered
+// the labels frame, the coordinator's strip jobs to it ask for the
+// frame and get it, while the answer to its own Accept-less caller
+// stays the local slapd's JSON.
+func TestClusterAsksBackendsForFrame(t *testing.T) {
+	ref := newSlapd(t)
+	slapd := server.New(server.Config{Workers: 2})
+	var mu sync.Mutex
+	var accepts, types []string
+	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		slapd.ServeHTTP(w, r)
+		mu.Lock()
+		accepts = append(accepts, r.Header.Get("Accept"))
+		types = append(types, w.Header().Get("Content-Type"))
+		mu.Unlock()
+	}))
+	t.Cleanup(b.Close)
+	_, front := newFront(t, []string{b.URL}, nil)
+	img := testImage(t)
+	p := api.Params{ArrayWidth: 8, WantLabels: true}
+	_, want := post(t, ref.URL, api.PathLabel, p, img)
+	for i := 0; i < 2; i++ {
+		mu.Lock()
+		accepts, types = nil, nil
+		mu.Unlock()
+		code, got := post(t, front.URL, api.PathLabel, p, img)
+		if code != http.StatusOK || !bytes.Equal(want, got) {
+			t.Fatalf("request %d: status %d, answer diverges from local:\nlocal:   %s\ncluster: %s", i, code, want, got)
+		}
+	}
+	// The first request's strips went out before any offer came back;
+	// every strip of the second asks for the frame.
+	if len(accepts) != 5 {
+		t.Fatalf("%d strip jobs, want 5", len(accepts))
+	}
+	for i, a := range accepts {
+		if !api.AcceptsLabelsFrame(a) || types[i] != api.ContentTypeLabels {
+			t.Fatalf("strip job %d: Accept %q answered with %q", i, a, types[i])
+		}
 	}
 }
 
@@ -350,6 +456,54 @@ func TestClusterRejectsMalformedStripAnswer(t *testing.T) {
 		hresp.Body.Close()
 		if hresp.StatusCode != http.StatusOK {
 			t.Fatalf("healthz after answer %s: %d", body, hresp.StatusCode)
+		}
+	}
+}
+
+// TestClusterRejectsOutOfRangeStripLabels: a backend whose strip
+// answer carries a label that is neither Background nor a strip-local
+// position at or before its own pixel's — one no labeling can produce
+// — is answered 502, over either encoding, instead of being stitched
+// into the composed answer.
+func TestClusterRejectsOutOfRangeStripLabels(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		label int32 // written at strip position 1
+		frame bool
+	}{
+		{"later position", 2, false},
+		{"later position over the frame", 5, true},
+		{"negative", -2, false},
+		{"negative over the frame", -7, true},
+	} {
+		hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			p, _ := api.ParamsFromQuery(r.URL.Query())
+			sw, h := 4, 8
+			if p.ArrayWidth != 0 {
+				t.Errorf("strip job carries array=%d", p.ArrayWidth)
+			}
+			resp := &api.LabelResponse{Width: sw, Height: h, Foreground: 2, Components: 2, Largest: 1, Labels: make([]int32, sw*h)}
+			for i := range resp.Labels {
+				resp.Labels[i] = bitmap.Background
+			}
+			resp.Labels[0], resp.Labels[1] = 0, tc.label
+			if tc.frame {
+				frame, err := api.AppendLabelsFrame(nil, resp)
+				if err != nil {
+					t.Error(err)
+				}
+				w.Header().Set("Content-Type", api.ContentTypeLabels)
+				w.Write(frame)
+				return
+			}
+			server.WriteJSON(w, http.StatusOK, resp)
+		}))
+		t.Cleanup(hostile.Close)
+		_, front := newFront(t, []string{hostile.URL}, nil)
+		img := bitmap.Random(8, 0.5, 3)
+		code, body := post(t, front.URL, api.PathLabel, api.Params{ArrayWidth: 4, WantLabels: true}, img)
+		if code != http.StatusBadGateway {
+			t.Fatalf("%s: status %d, want 502 (body %s)", tc.name, code, body)
 		}
 	}
 }

@@ -565,7 +565,7 @@ func (s *Server) handleRun(agg bool) http.HandlerFunc {
 			return
 		}
 		s.reg.addFrame()
-		WriteTraced(w, http.StatusOK, resp, sp)
+		WriteAnswer(w, r, resp)
 	}
 }
 
@@ -709,11 +709,9 @@ func ToAggregateResponse(res *core.Result, op *core.Monoid, wantLabels bool) *ap
 		})
 	}
 	if wantLabels && lm != nil {
-		labels := make([]int32, 0, lm.W()*lm.H())
-		for x := 0; x < lm.W(); x++ {
-			labels = append(labels, lm.ColumnSlice(x)...)
-		}
-		out.Labels = labels
+		// Every run allocates its own label map, so the answer can
+		// share its storage.
+		out.Labels = lm.Labels()
 		resp.PerPixel = res.PerPixel
 	}
 	return resp
@@ -777,23 +775,32 @@ func annotateEngine(sp *obs.Span, opt core.Options) {
 	}
 }
 
-// WriteTraced is WriteJSON for traced success responses: the body is
-// encoded to a buffer under an "encode" span, then the trace's span
-// tree — on slapfront, each attempt's grafted backend tree nested
-// inside — rides ahead of it in a Server-Timing header (headers must
-// precede the body, so the encoder cannot stream straight to the
-// wire). The bytes written are identical to WriteJSON's, which the
-// cluster-vs-local byte-equality tests depend on.
-func WriteTraced(w http.ResponseWriter, code int, v any, sp *obs.Span) {
-	if sp == nil {
-		WriteJSON(w, code, v)
-		return
-	}
+// WriteAnswer answers a run with v, the *api.LabelResponse or
+// *api.AggregateResponse Answer returns: the labels frame when the
+// request's Accept names api.ContentTypeLabels, JSON otherwise; either
+// way api.HeaderOffer offers the frame. The body is encoded to a buffer
+// under an "encode" span, then the trace's span tree — on slapfront,
+// each attempt's grafted backend tree nested inside — rides ahead of
+// it in a Server-Timing header (headers must precede the body, so the
+// encoder cannot stream straight to the wire). The JSON bytes are
+// identical to WriteJSON's, which the cluster-vs-local byte-equality
+// tests depend on.
+func WriteAnswer(w http.ResponseWriter, r *http.Request, v any) {
+	sp := obs.FromContext(r.Context())
 	esp := sp.Child("encode")
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	err := enc.Encode(v)
+	ct := "application/json"
+	var body []byte
+	var err error
+	if api.AcceptsLabelsFrame(r.Header.Get("Accept")) {
+		ct = api.ContentTypeLabels
+		body, err = api.AppendLabelsFrame(nil, v)
+	} else {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		err = enc.Encode(v)
+		body = buf.Bytes()
+	}
 	esp.EndErr(err)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, err.Error())
@@ -804,9 +811,10 @@ func WriteTraced(w http.ResponseWriter, code int, v any, sp *obs.Span) {
 			w.Header().Set("Server-Timing", st)
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(buf.Bytes())
+	w.Header().Set("Content-Type", ct)
+	w.Header().Set(api.HeaderOffer, api.ContentTypeLabels)
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // WriteError answers an ErrorResponse; the request ID StartTrace

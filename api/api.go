@@ -25,7 +25,7 @@
 //
 // A 200 answer is JSON unless the request's Accept header names
 // ContentTypeLabels; then it is the binary labels frame
-// (AppendLabelsFrame, DecodeLabelsFrame; docs/SLR1.md, "Labels frame"):
+// (NewLabelsFrame, ReadLabelsFrame; docs/SLR1.md, "Labels frame"):
 // the same JSON without the labels and per_pixel arrays, followed by
 // those arrays as little-endian int32s. Every 200 answer offers the
 // frame in its HeaderOffer header; the client package asks for the

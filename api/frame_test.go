@@ -120,6 +120,43 @@ func TestLabelsFrameRejects(t *testing.T) {
 	}
 }
 
+// TestLabelsFrameStreams: WriteTo writes exactly Append's bytes and
+// Size of them, across its buffer's chunk boundary, and ReadLabelsFrame
+// reads them back as DecodeLabelsFrame does — refusing a count beyond
+// what its caller asked for before allocating it.
+func TestLabelsFrameStreams(t *testing.T) {
+	for _, n := range []int{0, 1, 8191, 8192, 8193, 50000} {
+		agg := &AggregateResponse{LabelResponse: LabelResponse{Width: n, Height: 1}, Op: "sum"}
+		for i := 0; i < n; i++ {
+			agg.Labels = append(agg.Labels, int32(i))
+			agg.PerPixel = append(agg.PerPixel, int32(-i))
+		}
+		f, err := NewLabelsFrame(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if m, err := f.WriteTo(&buf); err != nil || m != int64(buf.Len()) {
+			t.Fatalf("%d values: WriteTo = %d, %v for %d bytes", n, m, err, buf.Len())
+		}
+		if want := f.Append(nil); !bytes.Equal(buf.Bytes(), want) || len(want) != f.Size() {
+			t.Fatalf("%d values: WriteTo wrote %d bytes, Append %d, Size %d", n, buf.Len(), len(want), f.Size())
+		}
+		var got AggregateResponse
+		if err := ReadLabelsFrame(bytes.NewReader(buf.Bytes()), &got, n); err != nil {
+			t.Fatalf("%d values: %v", n, err)
+		}
+		if !reflect.DeepEqual(&got, agg) {
+			t.Fatalf("%d values: read back %+v", n, got)
+		}
+		if n > 0 {
+			if err := ReadLabelsFrame(bytes.NewReader(buf.Bytes()), &got, n-1); !errors.Is(err, ErrLabelsFrame) {
+				t.Fatalf("%d values against a bound of %d: err %v, want ErrLabelsFrame", n, n-1, err)
+			}
+		}
+	}
+}
+
 // TestAcceptsLabelsFrame: only an Accept that names the frame with a
 // non-zero weight gets it.
 func TestAcceptsLabelsFrame(t *testing.T) {

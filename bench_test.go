@@ -8,15 +8,19 @@
 package slapcc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"testing"
 
+	"slapcc/api"
 	"slapcc/internal/baseline"
 	"slapcc/internal/bitmap"
 	"slapcc/internal/core"
 	"slapcc/internal/lowerbound"
 	"slapcc/internal/obs"
+	"slapcc/internal/server"
 	"slapcc/internal/slap"
 	"slapcc/internal/stats"
 	"slapcc/internal/unionfind"
@@ -314,6 +318,63 @@ func BenchmarkLabelLarge(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStripCompose times the coordinator's in-process half of one
+// strip-mined host request, as slapfront serves cluster-labels: a 512²
+// random-0.5 frame at array=128 cut into four SLR1 strip bodies, the
+// four strip answers rebuilt from their labels frames, composed,
+// summarized, and the composed answer written as a labels frame. The
+// strip answers are labeled once, before the timer; MB/s counts frame
+// pixels.
+func BenchmarkStripCompose(b *testing.B) {
+	const n, aw = 512, 128
+	img := bitmap.Random(n, 0.5, 1)
+	opt := core.Options{Engine: core.EngineHost, ArrayWidth: aw}
+	stripOpt := core.Options{Engine: core.EngineHost}
+	var frames [][]byte
+	for x0 := 0; x0 < n; x0 += aw {
+		res, err := core.Label(img.SubImage(x0, 0, aw, n), stripOpt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frame, err := api.AppendLabelsFrame(nil, server.ToLabelResponse(res, true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	runs := make([]core.StripRun, len(frames))
+	b.ReportAllocs()
+	b.SetBytes(n * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := range frames {
+			if body := img.StripView(s*aw, aw).AppendRaw(nil); len(body) == 0 {
+				b.Fatal("empty strip body")
+			}
+			var resp api.AggregateResponse
+			if err := api.ReadLabelsFrame(bytes.NewReader(frames[s]), &resp.LabelResponse, aw*n); err != nil {
+				b.Fatal(err)
+			}
+			run, err := server.ToStripRun(&resp, aw, n, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs[s] = run
+		}
+		res, err := core.ComposeStrips(img, runs, nil, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frame, err := api.NewLabelsFrame(server.Answer(server.ToAggregateResponse(res, nil, true), nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := frame.WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

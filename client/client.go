@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"mime"
 	"net/http"
@@ -265,6 +266,10 @@ func (c *Client) Health(ctx context.Context) (*api.HealthResponse, error) {
 	return &h, nil
 }
 
+// maxMetricsBody bounds the Prometheus exposition Metrics reads, far
+// above what a server's registry renders.
+const maxMetricsBody = 16 << 20
+
 // Metrics fetches the Prometheus exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+api.PathMetrics, nil)
@@ -279,7 +284,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	if resp.StatusCode != http.StatusOK {
 		return "", c.statusError(resp)
 	}
-	b, err := io.ReadAll(resp.Body)
+	b, err := io.ReadAll(&boundedReader{r: resp.Body, left: maxMetricsBody})
 	return string(b), err
 }
 
@@ -298,8 +303,9 @@ func (c *Client) post(ctx context.Context, path string, p api.Params, body []byt
 	if api.RequestIDFromContext(ctx) == "" {
 		ctx = api.ContextWithRequestID(ctx, api.NewRequestID())
 	}
+	pixels := askedPixels(p, body, contentType)
 	for attempt := 0; ; attempt++ {
-		err := c.postOnce(ctx, url, body, contentType, out)
+		err := c.postOnce(ctx, url, body, contentType, pixels, out)
 		if err == nil {
 			return nil
 		}
@@ -333,10 +339,12 @@ func (c *Client) post(ctx context.Context, path string, p api.Params, body []byt
 	}
 }
 
-// postOnce performs a single attempt. A truncated response body
-// surfaces as io.ErrUnexpectedEOF from the decoder, which isTransient
-// recognizes — the request is replayable, so the attempt loop retries.
-func (c *Client) postOnce(ctx context.Context, url string, body []byte, contentType string, out any) error {
+// postOnce performs a single attempt; pixels is the frame's pixel
+// count, which bounds the answer (see decodeAnswer). A truncated
+// response body surfaces as io.ErrUnexpectedEOF from the decoder, which
+// isTransient recognizes — the request is replayable, so the attempt
+// loop retries.
+func (c *Client) postOnce(ctx context.Context, url string, body []byte, contentType string, pixels int, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -366,7 +374,7 @@ func (c *Client) postOnce(ctx context.Context, url string, body []byte, contentT
 		defer drain(resp)
 		return c.statusError(resp)
 	}
-	err = decodeAnswer(resp, out)
+	err = decodeAnswer(resp, pixels, out)
 	drain(resp)
 	if err == nil {
 		c.frames.Store(resp.Header.Get(api.HeaderOffer) == api.ContentTypeLabels)
@@ -385,18 +393,75 @@ func (c *Client) postOnce(ctx context.Context, url string, body []byte, contentT
 // offers the labels frame: the frame first, JSON as the fallback.
 const acceptAnswer = api.ContentTypeLabels + ", application/json"
 
-// decodeAnswer decodes a 200 answer into out by its Content-Type: a
-// labels frame read whole (a body cut short fails with
-// io.ErrUnexpectedEOF, as JSON decoding's does), JSON otherwise.
-func decodeAnswer(resp *http.Response, out any) error {
-	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != api.ContentTypeLabels {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	b, err := io.ReadAll(resp.Body)
+// answerSlack is what an answer may carry beyond its per-pixel arrays:
+// the summary, metrics and union–find report, with room to spare.
+const answerSlack = 1 << 20
+
+// errAnswerTooLarge reports a 200 answer longer than any true answer to
+// the request; the server is misbehaving, so it is not retried.
+var errAnswerTooLarge = errors.New("client: answer body exceeds its bound")
+
+// askedPixels is the pixel count of the frame a request body carries,
+// read from its header under the format the server will decode it as
+// (Params.Format, else the Content-Type, else sniffed); 0 when no header
+// reads, and at most the int32 label space.
+func askedPixels(p api.Params, body []byte, contentType string) int {
+	format, err := imageio.ParseFormat(p.Format)
 	if err != nil {
-		return err
+		return 0
 	}
-	return api.DecodeLabelsFrame(b, out)
+	if format == imageio.FormatAuto {
+		format = imageio.FormatFromContentType(contentType)
+	}
+	w, h, ok := imageio.Dims(body, format)
+	if !ok || w < 0 || h < 0 {
+		return 0
+	}
+	if h > 0 && w > math.MaxInt32/h {
+		return math.MaxInt32
+	}
+	return w * h
+}
+
+// decodeAnswer decodes a 200 answer to a request for a frame of pixels
+// pixels into out by its Content-Type: a labels frame read as it
+// arrives (a body cut short fails with io.ErrUnexpectedEOF, as JSON
+// decoding's does), JSON otherwise. Both are bounded by what was
+// asked: a labels or fold array longer than pixels is rejected before
+// it is allocated, and the body may run to answerSlack plus 24 bytes a
+// pixel (two JSON int32 arrays), beyond which errAnswerTooLarge ends
+// the read.
+func decodeAnswer(resp *http.Response, pixels int, out any) error {
+	limit := answerSlack + 24*int64(pixels)
+	if resp.ContentLength > limit {
+		return fmt.Errorf("%w: %d bytes declared, bound %d", errAnswerTooLarge, resp.ContentLength, limit)
+	}
+	body := &boundedReader{r: resp.Body, left: limit}
+	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt == api.ContentTypeLabels {
+		return api.ReadLabelsFrame(body, out, pixels)
+	}
+	return json.NewDecoder(body).Decode(out)
+}
+
+// boundedReader reads r up to left more bytes and fails with
+// errAnswerTooLarge on the first byte beyond them.
+type boundedReader struct {
+	r    io.Reader
+	left int64
+}
+
+func (b *boundedReader) Read(p []byte) (int, error) {
+	if int64(len(p)) > b.left+1 {
+		p = p[:b.left+1]
+	}
+	n, err := b.r.Read(p)
+	if int64(n) > b.left {
+		n = int(b.left)
+		b.left = 0
+		return n, errAnswerTooLarge
+	}
+	b.left -= int64(n)
+	return n, err
 }
 
 // backoffWait is attempt k's capped exponential backoff with jitter:

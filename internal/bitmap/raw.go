@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // The SLR1 raw wire format: the densest self-describing serialization of
@@ -55,25 +56,45 @@ func (b *Bitmap) WriteRaw(w io.Writer) error {
 // the extended slice; the allocation-free form of WriteRaw for callers
 // assembling request bodies.
 func (b *Bitmap) AppendRaw(dst []byte) []byte {
-	rowBytes := (b.w + 7) / 8
-	need := RawSize(b.w, b.h)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	var hdr [rawHeaderSize]byte
-	copy(hdr[:], rawMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(b.w))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(b.h))
-	dst = append(dst, hdr[:]...)
-	for y := 0; y < b.h; y++ {
-		words := b.words[y*b.stride : (y+1)*b.stride]
-		for k := 0; k < rowBytes; k++ {
-			dst = append(dst, byte(words[k>>3]>>(8*uint(k&7))))
+	return b.StripView(0, b.w).AppendRaw(dst)
+}
+
+// AppendRaw appends the SLR1 encoding of the strip — a w×h image of
+// its own — to dst and returns the extended slice. Each raster row is
+// cut from the parent's row words by shifting and masking whole words,
+// eight bytes at a time, so encoding a strip costs a pass over its
+// bytes, not over its pixels.
+func (s *Strip) AppendRaw(dst []byte) []byte {
+	w, h := s.w, s.src.h
+	dst = slices.Grow(dst, RawSize(w, h))
+	dst = append(dst, rawMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(w))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(h))
+	full, tail := w/64, w%64
+	first, shift := s.x0/64, uint(s.x0%64)
+	for y := 0; y < h; y++ {
+		row := s.src.words[y*s.src.stride : (y+1)*s.src.stride]
+		for k := 0; k < full; k++ {
+			dst = binary.LittleEndian.AppendUint64(dst, shiftedWord(row, first+k, shift))
+		}
+		if tail != 0 {
+			v := shiftedWord(row, first+full, shift) & (1<<uint(tail) - 1)
+			for b := 0; b < (tail+7)/8; b++ {
+				dst = append(dst, byte(v>>(8*uint(b))))
+			}
 		}
 	}
 	return dst
+}
+
+// shiftedWord returns the 64 pixels of row starting at bit shift of
+// word i; bits past the row's last word read as 0.
+func shiftedWord(row []uint64, i int, shift uint) uint64 {
+	v := row[i] >> shift
+	if shift != 0 && i+1 < len(row) {
+		v |= row[i+1] << (64 - shift)
+	}
+	return v
 }
 
 // RawDims reads the dimensions out of an SLR1 header without touching

@@ -7,10 +7,12 @@
 // tiler uses (core.ComposeStrips) — so every response is bit-identical
 // to a local run of the same request.
 //
-// Only O(boundary) data rides the composition: each backend returns
-// its strip's labels and fold report, and the coordinator's host-side
-// stitch touches boundary columns plus rewritten pixels, the same
-// merge structure the strip-mining analysis charges.
+// Each backend returns its strip's labels and fold report. The
+// coordinator's stitch reads only the strips' boundary columns, the
+// merge structure the strip-mining analysis charges; one pass then
+// writes every pixel's global label through a dense per-strip remap
+// table and counts the answer's summary, the copy the composed answer
+// needs anyway.
 //
 // The robustness model, end to end:
 //
@@ -44,8 +46,6 @@ import (
 	"slapcc/internal/imageio"
 	"slapcc/internal/obs"
 	"slapcc/internal/server"
-	"slapcc/internal/slap"
-	"slapcc/internal/unionfind"
 )
 
 // Config configures a Coordinator.
@@ -660,70 +660,6 @@ func writeDispatchError(w http.ResponseWriter, err error) {
 	server.WriteError(w, http.StatusBadGateway, err.Error())
 }
 
-// stripRunFromResponse reconstructs a core.StripRun from the wire
-// response to the sw×h strip's job. A backend's answer is outside
-// input, so it is checked against the job before the stitch trusts it:
-// the dimensions and counts the response claims, and every label, which
-// must be Background or a strip-local position no later than its own
-// pixel's (a component's canonical label is its least position). The
-// labels are then wrapped in place as the strip's map. The wire omits
-// Busy/NilRecvs/per-PE profiles and the speculation stats — none of
-// which ever serialize in a composed response — so the composition over
-// reconstructed runs is byte-identical to the local tiler's.
-func stripRunFromResponse(resp *api.AggregateResponse, sw, h int, agg bool) (core.StripRun, error) {
-	if resp.Width != sw || resp.Height != h {
-		return core.StripRun{}, fmt.Errorf("cluster: strip response is %dx%d, want %dx%d", resp.Width, resp.Height, sw, h)
-	}
-	if len(resp.Labels) != sw*h {
-		return core.StripRun{}, fmt.Errorf("cluster: strip response has %d labels, want %d", len(resp.Labels), sw*h)
-	}
-	for i, l := range resp.Labels {
-		// One unsigned compare: Background (−1) maps to 0, below every
-		// i+1, and any other negative label wraps past all of them.
-		if uint32(l+1) > uint32(i+1) {
-			return core.StripRun{}, fmt.Errorf("cluster: strip response labels position %d with %d, outside [0, %d]", i, l, i)
-		}
-	}
-	lm := bitmap.LabelMapOf(sw, h, resp.Labels)
-	m := slap.Metrics{
-		N:        resp.Metrics.ArrayWidth,
-		Time:     resp.Metrics.TimeSteps,
-		Sends:    resp.Metrics.Sends,
-		Words:    resp.Metrics.Words,
-		MaxQueue: resp.Metrics.MaxQueue,
-		PEMemory: resp.Metrics.PEMemory,
-	}
-	for _, ph := range resp.Metrics.Phases {
-		m.Phases = append(m.Phases, slap.PhaseMetrics{
-			Name:     ph.Name,
-			Makespan: ph.Makespan,
-			Sends:    ph.Sends,
-			Words:    ph.Words,
-			Idle:     ph.Idle,
-			MaxQueue: ph.MaxQueue,
-		})
-	}
-	run := core.StripRun{
-		Labels:  lm,
-		Metrics: m,
-		UF: core.UFReport{
-			Kind:       unionfind.Kind(resp.UF.Kind),
-			Finds:      resp.UF.Finds,
-			Unions:     resp.UF.Unions,
-			TotalSteps: resp.UF.TotalSteps,
-			MaxOpCost:  resp.UF.MaxOpCost,
-			MeanOpCost: resp.UF.MeanOpCost,
-		},
-	}
-	if agg {
-		if len(resp.PerPixel) != sw*h {
-			return core.StripRun{}, fmt.Errorf("cluster: strip response has %d per-pixel folds, want %d", len(resp.PerPixel), sw*h)
-		}
-		run.PerPixel = resp.PerPixel
-	}
-	return run, nil
-}
-
 // stripParams builds the wire parameters of the strip at x0 under
 // caller parameters p and the full-image resolved options opt: a plain
 // whole-strip run (no array), full labels for the stitch, the
@@ -762,24 +698,18 @@ type job struct {
 	data   []byte // SLR1-encoded strip
 }
 
-// encodeJobs materializes and encodes every strip of img.
-func encodeJobs(img *bitmap.Bitmap, aw int) ([]job, error) {
-	w, h := img.W(), img.H()
+// encodeJobs encodes every strip of img as an SLR1 body, cut straight
+// from the frame's row words.
+func encodeJobs(img *bitmap.Bitmap, aw int) []job {
+	w := img.W()
 	strips := (w + aw - 1) / aw
 	jobs := make([]job, strips)
 	for s := 0; s < strips; s++ {
 		x0 := s * aw
-		sw := aw
-		if w-x0 < sw {
-			sw = w - x0
-		}
-		data, err := imageio.EncodeBytes(img.SubImage(x0, 0, sw, h), imageio.FormatRaw)
-		if err != nil {
-			return nil, err
-		}
-		jobs[s] = job{s: s, x0: x0, sw: sw, data: data}
+		sw := min(aw, w-x0)
+		jobs[s] = job{s: s, x0: x0, sw: sw, data: img.StripView(x0, sw).AppendRaw(nil)}
 	}
-	return jobs, nil
+	return jobs
 }
 
 // runJobs executes every strip job — remote with retries and
@@ -886,11 +816,7 @@ func (co *Coordinator) handleRun(agg bool) http.HandlerFunc {
 			return
 		}
 
-		jobs, err := encodeJobs(img, aw)
-		if err != nil {
-			server.WriteError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
+		jobs := encodeJobs(img, aw)
 		fsp := root.Child("fanout")
 		runs, err := co.runJobs(obs.ContextWith(ctx, fsp), jobs, func(jctx context.Context, j job) (core.StripRun, error) {
 			ssp := obs.FromContext(jctx).Child("strip")
@@ -973,16 +899,13 @@ func (co *Coordinator) stripJob(ctx context.Context, rq *request, j job, h int) 
 			return core.StripRun{}, err
 		}
 	}
-	return stripRunFromResponse(resp, j.sw, h, rq.op != nil)
+	return server.ToStripRun(resp, j.sw, h, rq.op != nil)
 }
 
 // wholeImage routes an un-strip-mined request as a single job,
 // degrading to a local run when no backend will take it.
 func (co *Coordinator) wholeImage(ctx context.Context, rq *request, img *bitmap.Bitmap) (*api.AggregateResponse, error) {
-	data, err := imageio.EncodeBytes(img, imageio.FormatRaw)
-	if err != nil {
-		return nil, err
-	}
+	data := img.AppendRaw(nil)
 	fp := rq.p
 	fp.Format = string(imageio.FormatRaw)
 	ssp := obs.FromContext(ctx).Child("strip")
@@ -1000,14 +923,14 @@ func (co *Coordinator) wholeImage(ctx context.Context, rq *request, img *bitmap.
 	}
 	co.reg.addFallback()
 	lsp := ssp.Child("local")
-	resp, err = rq.local(ctx, img, rq.opt, rq.p.InitialOffset, rq.p.WantLabels)
+	resp, err := rq.local(ctx, img, rq.opt, rq.p.InitialOffset, rq.p.WantLabels)
 	lsp.EndErr(err)
 	ssp.EndErr(err)
 	return resp, err
 }
 
 // mustDecodeStrip re-decodes a job's already-encoded strip for local
-// fallback. The bytes came from EncodeBytes moments ago, so failure is
+// fallback. The bytes came from AppendRaw moments ago, so failure is
 // a programming error.
 func mustDecodeStrip(j job) *bitmap.Bitmap {
 	img, err := imageio.DecodeBytes(j.data, imageio.FormatRaw, imageio.Limits{})

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"slapcc/internal/bitmap"
+	"slapcc/internal/seqcc"
 )
 
 // stripRunsFor labels each strip of img as an independent whole-image
@@ -281,4 +283,125 @@ func TestPoolLabelWithCtx(t *testing.T) {
 	if _, err := pool.RunWith(cancelled, img, Ones(img), &sum, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aggregating RunWith with cancelled ctx: got %v, want context.Canceled", err)
 	}
+}
+
+// TestComposeBothEngines: on both engines, strips run on their own over
+// materialized sub-images (the wire shape) and composed by ComposeStrips
+// must give the whole-image run's labels, folds and summary, and
+// seqcc's: every family, array widths that leave one-column, ragged and
+// 64-aligned strips, both connectivities, label runs and two monoids.
+func TestComposeBothEngines(t *testing.T) {
+	ops := []*Monoid{nil, ptr(Sum()), ptr(Min())}
+	// Narrow arrays run on a small frame, so one-column strips stay
+	// cheap; the wide ones on a 131-column crop, a width no array
+	// among them divides evenly.
+	for _, size := range []struct {
+		n, h   int
+		arrays []int
+	}{{40, 40, []int{1, 3}}, {131, 48, []int{64, 100, 128}}} {
+		for _, fam := range bitmap.Families() {
+			img := fam.Generate(size.n).SubImage(0, 0, size.n, size.h)
+			w, h := img.W(), img.H()
+			initial := make([]int32, w*h)
+			for p := range initial {
+				initial[p] = int32(p*7919) % 1000
+			}
+			for _, conn := range []bitmap.Connectivity{bitmap.Conn4, bitmap.Conn8} {
+				ref := seqcc.BFSConn(img, conn)
+				refSum := seqcc.Summarize(ref)
+				for _, engine := range []Engine{EngineSim, EngineHost} {
+					for _, op := range ops {
+						whole, err := Run(context.Background(), img, initialFor(op, initial), op, Options{Engine: engine, Connectivity: conn})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, aw := range size.arrays {
+							name := fmt.Sprintf("%s/%dx%d/conn%d/%s/%s/array%d", fam.Name, w, h, conn, engine, opName(op), aw)
+							opt := Options{Engine: engine, Connectivity: conn, ArrayWidth: aw}
+							stripOpt := opt
+							stripOpt.ArrayWidth = 0
+							var runs []StripRun
+							for x0 := 0; x0 < w; x0 += aw {
+								sw := min(aw, w-x0)
+								var window []int32
+								if op != nil {
+									window = initial[x0*h : (x0+sw)*h]
+								}
+								res, err := Run(context.Background(), img.SubImage(x0, 0, sw, h), window, op, stripOpt)
+								if err != nil {
+									t.Fatalf("%s: strip at %d: %v", name, x0, err)
+								}
+								runs = append(runs, StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, Speculation: res.Speculation, PerPixel: res.PerPixel})
+							}
+							got, err := ComposeStrips(img, runs, op, opt)
+							if err != nil {
+								t.Fatalf("%s: ComposeStrips: %v", name, err)
+							}
+							if !got.Labels.Equal(whole.Labels) || !got.Labels.Equal(ref) {
+								t.Fatalf("%s: composed labels differ from the whole-image run or seqcc", name)
+							}
+							if op != nil {
+								if want := aggregateRef(ref, initial, op); !reflect.DeepEqual(got.PerPixel, whole.PerPixel) || !reflect.DeepEqual(got.PerPixel, want) {
+									t.Fatalf("%s: composed folds differ from the whole-image run or the reference", name)
+								}
+							}
+							if got.Summary == nil {
+								t.Fatalf("%s: composed result has no summary", name)
+							}
+							sum := seqcc.Stats{Components: got.Summary.Components, Foreground: got.Summary.Foreground, Largest: got.Summary.Largest}
+							if sum != refSum || got.Summary.W != w || got.Summary.H != h {
+								t.Fatalf("%s: summary %+v, want %+v", name, *got.Summary, refSum)
+							}
+							if whole.Summary != nil && *whole.Summary != *got.Summary {
+								t.Fatalf("%s: summary %+v, whole-image run %+v", name, *got.Summary, *whole.Summary)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func ptr(m Monoid) *Monoid { return &m }
+
+func opName(op *Monoid) string {
+	if op == nil {
+		return "label"
+	}
+	return op.Name
+}
+
+// initialFor is initial on aggregation runs, nil on label runs.
+func initialFor(op *Monoid, initial []int32) []int32 {
+	if op == nil {
+		return nil
+	}
+	return initial
+}
+
+// aggregateRef folds initial over each component of the reference
+// labeling ref under op, per pixel (identity on background): the
+// Corollary 4 reference under either connectivity.
+func aggregateRef(ref *bitmap.LabelMap, initial []int32, op *Monoid) []int32 {
+	lab := ref.Labels()
+	tot := make(map[int32]int32)
+	for p, l := range lab {
+		if l == bitmap.Background {
+			continue
+		}
+		v, ok := tot[l]
+		if !ok {
+			v = op.Identity
+		}
+		tot[l] = op.Combine(v, initial[p])
+	}
+	out := make([]int32, len(lab))
+	for p, l := range lab {
+		out[p] = op.Identity
+		if l != bitmap.Background {
+			out[p] = tot[l]
+		}
+	}
+	return out
 }

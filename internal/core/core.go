@@ -296,7 +296,8 @@ type Result struct {
 	Speculation SpecStats
 	// Summary, when non-nil, is the labeling's component summary,
 	// computed by the engine along the way (the host engine folds it
-	// into its resolve sweep for ~free). Values are identical to what
+	// into its resolve sweep for ~free, and a strip compose on either
+	// engine into its relabel pass). Values are identical to what
 	// seqcc.Summarize(Labels) computes; consumers may use either.
 	Summary *Summary
 }

@@ -93,28 +93,23 @@ func (lb *Labeler) runHost(img *bitmap.Bitmap, initial []int32, op *Monoid) (*Re
 }
 
 // composeHostStrips is the host-engine compose path behind
-// ComposeStrips (out/op non-nil on aggregation runs): the cluster
-// coordinator fans strips to backends under cost=host and stitches the
-// answers here. The strip labelings are already globalized into global; the stitch reuses the seam
-// machinery's label (and fold) rewrite with the seam forced to the
-// host model — no seam machine is built, and the charged phases are
-// discarded, because a host-engine answer carries no Metrics. The
-// composed labels are bit-identical to one whole-image host run (the
-// tiler's own invariant), and the UF report folds the strips' and the
-// stitch's operation counts under HostUFKind.
-func (lb *Labeler) composeHostStrips(img *bitmap.Bitmap, global *bitmap.LabelMap, runs []StripRun, out []int32, op *Monoid, opt Options) (UFReport, SpecStats) {
+// ComposeStrips (res.PerPixel and op non-nil on aggregation runs): the
+// cluster coordinator fans strips to backends under cost=host and
+// stitches the answers here. The stitch is the simulator's, with the
+// seam forced to the host model — no seam machine is built, and the
+// charged phases are discarded, because a host-engine answer carries no
+// Metrics. The composed labels and summary are bit-identical to one
+// whole-image host run (the tiler's own invariant), and the UF report
+// folds the strips' and the stitch's operation counts under HostUFKind.
+func (lb *Labeler) composeHostStrips(img *bitmap.Bitmap, res *Result, runs []StripRun, op *Monoid, opt Options) {
 	hostOpt := opt
 	hostOpt.Seam = SeamHost
-	_, seamStats, _ := lb.stitchSeams(img, global, out, op, opt.ArrayWidth, hostOpt)
-	rep := UFReport{Kind: HostUFKind}
-	var spec SpecStats
+	_, seamStats, _ := lb.stitchSeams(img, res, runs, op, hostOpt)
+	res.UF = UFReport{Kind: HostUFKind, Finds: seamStats.finds, Unions: seamStats.unions}
 	for _, run := range runs {
-		rep.Finds += run.UF.Finds
-		rep.Unions += run.UF.Unions
-		spec.Sends += run.Speculation.Sends
-		spec.Wasted += run.Speculation.Wasted
+		res.UF.Finds += run.UF.Finds
+		res.UF.Unions += run.UF.Unions
+		res.Speculation.Sends += run.Speculation.Sends
+		res.Speculation.Wasted += run.Speculation.Wasted
 	}
-	rep.Finds += seamStats.finds
-	rep.Unions += seamStats.unions
-	return rep, spec
 }

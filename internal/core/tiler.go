@@ -80,7 +80,10 @@ import (
 //     original strip-mining model, kept selectable for comparison.
 //
 // Seam work is O(h·strips + rewritten pixels): lower-order next to the
-// Θ(w·h) labeling work unless strips are extremely narrow.
+// Θ(w·h) labeling work unless strips are extremely narrow. On the host
+// the stitch likewise reads only the boundary columns; the one pass
+// over every pixel that follows is the globalizing copy into the
+// composed map, which relabels and summarizes on the way.
 
 // StripRun is one strip's completed whole-image run, ready for seam
 // composition: the strip-local labeling (least strip-local column-major
@@ -120,10 +123,13 @@ func ComposeStrips(img *bitmap.Bitmap, runs []StripRun, op *Monoid, opt Options)
 	if err := checkCompose(img, runs, opt, op != nil); err != nil {
 		return nil, err
 	}
+	// A labeler goes back to the pool only after a completed compose:
+	// the stitch's dense tables are clean between stitches, not midway.
 	lb := labelerPool.Get().(*Labeler)
-	defer labelerPool.Put(lb)
 	lb.userOpt = opt
-	return lb.composeStrips(img, runs, op, opt), nil
+	res := lb.composeStrips(img, runs, op, opt)
+	labelerPool.Put(lb)
+	return res, nil
 }
 
 // checkCompose validates a ComposeStrips call: a genuinely strip-mined
@@ -226,23 +232,6 @@ func finishStripUF(rep *UFReport, steps, ops int64, seam seamUFStats) {
 	rep.TotalSteps = steps
 	if ops > 0 {
 		rep.MeanOpCost = float64(steps) / float64(ops)
-	}
-}
-
-// globalizeLabels translates one strip's labels to global positions: a
-// strip at column x0 labels with least strip-local positions sx·h + y,
-// and the global position of (x0+sx, y) is (x0+sx)·h + y — a constant
-// x0·h offset.
-func globalizeLabels(global *bitmap.LabelMap, labels *bitmap.LabelMap, x0, h int) {
-	off := int32(x0 * h)
-	for c := 0; c < labels.W(); c++ {
-		src := labels.ColumnSlice(c)
-		dst := global.ColumnSlice(x0 + c)
-		for y, l := range src {
-			if l != bitmap.Background {
-				dst[y] = l + off
-			}
-		}
 	}
 }
 
@@ -349,47 +338,43 @@ func (lb *Labeler) runStrip(img *bitmap.Bitmap, initial []int32, op *Monoid, aw,
 	return StripRun{Labels: res.Labels, Metrics: res.Metrics, UF: res.UF, Speculation: res.Speculation, PerPixel: res.PerPixel}, nil
 }
 
-// composeStrips is the second half of a strip-mined run — globalize the
-// strip labelings, stitch the seams, compose the report under the
-// schedule model — shared by runLarge and the exported ComposeStrips
-// (whose runs arrive from remote backends). On aggregation runs (op
-// non-nil) it also places the strips' per-pixel folds, and the stitch
-// combines the folds of seam-crossing components.
+// composeStrips is the second half of a strip-mined run — stitch the
+// seams, globalize and relabel the strip labelings in one pass, compose
+// the report under the schedule model — shared by runLarge and the
+// exported ComposeStrips (whose runs arrive from remote backends). On
+// aggregation runs (op non-nil) it also places the strips' per-pixel
+// folds, and the stitch combines the folds of seam-crossing components.
+// The result carries the composed labeling's Summary, counted in the
+// same pass.
 func (lb *Labeler) composeStrips(img *bitmap.Bitmap, runs []StripRun, op *Monoid, opt Options) *Result {
 	w, h := img.W(), img.H()
 	aw := opt.ArrayWidth
-	global := bitmap.NewLabelMap(w, h)
-	var out []int32
+	res := &Result{}
 	if op != nil {
-		out = make([]int32, w*h)
-	}
-	for s, run := range runs {
-		x0 := s * aw
-		globalizeLabels(global, run.Labels, x0, h)
-		if op != nil {
-			copy(out[x0*h:], run.PerPixel)
+		res.PerPixel = make([]int32, w*h)
+		for s, run := range runs {
+			copy(res.PerPixel[s*aw*h:], run.PerPixel)
 		}
 	}
 
 	tsp := obs.FromContext(lb.ctx).Child("stitch")
 	if opt.Engine == EngineHost {
-		rep, spec := lb.composeHostStrips(img, global, runs, out, op, opt)
+		lb.composeHostStrips(img, res, runs, op, opt)
 		tsp.End()
-		return &Result{Labels: global, PerPixel: out, UF: rep, Speculation: spec}
+		return res
 	}
-	seamPhases, seamStats, seamMem := lb.stitchSeams(img, global, out, op, aw, opt)
+	seamPhases, seamStats, seamMem := lb.stitchSeams(img, res, runs, op, opt)
 	tsp.End()
 
 	// Compose the whole-run report under the selected schedule model.
 	comp := slap.Metrics{N: aw}
 	rep := UFReport{Kind: opt.UF}
-	var spec SpecStats
 	var steps, ops int64
 	for _, run := range runs {
 		mergeStrip(&comp, opt, run.Metrics)
 		foldStripUF(&rep, &steps, &ops, run.UF)
-		spec.Sends += run.Speculation.Sends
-		spec.Wasted += run.Speculation.Wasted
+		res.Speculation.Sends += run.Speculation.Sends
+		res.Speculation.Wasted += run.Speculation.Wasted
 	}
 	for _, p := range seamPhases {
 		comp.AppendPhase(p)
@@ -398,7 +383,9 @@ func (lb *Labeler) composeStrips(img *bitmap.Bitmap, runs []StripRun, op *Monoid
 		comp.PEMemory = seamMem
 	}
 	finishStripUF(&rep, steps, ops, seamStats)
-	return &Result{Labels: global, PerPixel: out, Metrics: comp, UF: rep, Speculation: spec}
+	res.Metrics = comp
+	res.UF = rep
+	return res
 }
 
 // ensureStripPool returns the labeler's cached strip-worker pool,
@@ -424,23 +411,38 @@ type seamUFStats struct {
 	maxOp         int64
 }
 
+// labelSlot is the relabel pass's dense per-label state over one
+// strip's window of the global label space, indexed by the label less
+// the strip's x0·h offset, plus 1 (slot 0 is background's): remap is
+// 0, or 1 + the label's pair index when the merge changed it; size
+// counts the pixels of the strip piece the label names. One slot holds
+// both, so a pixel's lookup and count touch one cache line.
+type labelSlot struct {
+	remap, size int32
+}
+
 // remapPair is one seam remap-table entry: a globalized strip-local
 // label whose canonical label (or, on aggregation runs, component
-// total) the stitch changed.
+// total) the stitch changed, with the class's canonical label and —
+// on aggregation runs — its combined total.
 type remapPair struct {
-	old, canon int32
+	old, canon, tot int32
 }
 
 // seamScratch is the labeler-owned arena for the seam stitch: the
 // epoch-marked interner over boundary labels (the same structure the
-// merge and aggregation steps use instead of per-call maps), the dense
-// label/value/edge/root/fold arrays, one reusable metered forest, and —
-// for the distributed relabel — a private fixed-width machine that
-// executes the seam-broadcast/seam-rewrite phases. A warm labeler
-// stitches seams with no per-call allocation beyond what the label
-// count forces on first growth.
+// merge and aggregation steps use instead of per-call maps), the
+// boundary label/value/edge/root/fold arrays, one reusable metered
+// forest, the relabel pass's one-strip label table and per-boundary-
+// label bookkeeping, and — for the distributed relabel — a private
+// fixed-width machine that executes the seam-broadcast/seam-rewrite
+// phases. The label table is all zero between strips (the pass clears
+// each strip's window after it), so a warm labeler stitches seams with
+// no per-call allocation beyond the composed label map and what the
+// strip size and label count force on first growth.
 type seamScratch struct {
 	it       interner
+	labels   []labelSlot // one strip's window of the label space (see labelSlot)
 	vals     []int32
 	acc      []int32 // per boundary label: its component's per-strip fold (aggregation only)
 	edges    []unionfind.Pair
@@ -448,6 +450,11 @@ type seamScratch struct {
 	classMin []int32
 	classTot []int32
 	pairs    []remapPair
+	pairOf   []int32 // per boundary label: 0, or 1 + its pair index
+	pieces   []int32 // per boundary label: its strip piece's pixel count
+	byStrip  []int32 // boundary ids grouped by strip
+	stripEnd []int32 // per strip: the end of its ids in byStrip
+	classSz  []int32 // per class root: the composed component's pixel count
 	colFG    []int64 // per column: foreground pixels (distributed rewrite charge)
 	colRW    []int64 // per column: rewritten pixels
 	forest   *unionfind.Forest
@@ -456,33 +463,37 @@ type seamScratch struct {
 	phases   [3]slap.PhaseMetrics // seam-merge [, seam-broadcast, seam-rewrite]
 }
 
-// stitchSeams merges the components split across strip boundaries: a
-// metered union–find over the global labels of adjacent boundary
-// columns, then a relabel of every affected pixel to its class's least
-// label (which is the component's global least column-major position,
-// since each class member is already the least position within its
-// strip). On aggregation runs (op non-nil) it additionally combines the
-// per-strip component folds of each class under op and rewrites out to
-// the combined totals. It rewrites global (and out) in place and
-// returns the charged seam phases (see the accounting model above), the
+// stitchSeams composes the strip runs into res.Labels (and, on
+// aggregation runs, rewrites res.PerPixel, which holds the strips'
+// folds side by side) and sets res.Summary. It merges the components
+// split across strip boundaries — a metered union–find over the global
+// labels of adjacent boundary columns, read from the strip maps — and
+// then makes one pass per strip that globalizes each pixel's label and
+// relabels it through the dense remap table to its class's least label
+// (which is the component's global least column-major position, since
+// each class member is already the least position within its strip).
+// On aggregation runs the stitch additionally combines the per-strip
+// component folds of each class under op, and the pass writes the
+// combined totals. The host work is O(boundary) for the stitch plus
+// one O(w·h) memory-speed pass; the charged work is the model's (see
+// the accounting above). It returns the charged seam phases, the
 // union–find stats to fold into the run report, and the peak per-PE
 // memory the distributed relabel declared.
-func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, global *bitmap.LabelMap, out []int32, op *Monoid, aw int, opt Options) ([]slap.PhaseMetrics, seamUFStats, int64) {
+func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, res *Result, runs []StripRun, op *Monoid, opt Options) ([]slap.PhaseMetrics, seamUFStats, int64) {
 	w, h := img.W(), img.H()
+	aw := opt.ArrayWidth
 	sc := &lb.seam
+	seams := len(runs) - 1
 	// Size the interner from the actual boundary population: distinct
 	// boundary labels cannot exceed the boundary 1-pixel count (the
 	// loose 2h·seams bound would balloon the table on sparse images at
 	// narrow widths). Host-side sizing work only; nothing is charged.
 	bound := 0
-	for xL := aw - 1; xL+1 < w; xL += aw {
+	for s := 0; s < seams; s++ {
+		lcol := runs[s].Labels.ColumnSlice(runs[s].Labels.W() - 1)
+		rcol := runs[s+1].Labels.ColumnSlice(0)
 		for y := 0; y < h; y++ {
-			if img.Get(xL, y) {
-				bound++
-			}
-			if img.Get(xL+1, y) {
-				bound++
-			}
+			bound += int(1+lcol[y]>>31) + int(1+rcol[y]>>31)
 		}
 	}
 	sc.it.prepare(bound)
@@ -490,18 +501,19 @@ func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, global *bitmap.LabelMap, out 
 	sc.acc = sc.acc[:0]
 	sc.edges = sc.edges[:0]
 	var scanSteps int64
-	intern := func(l int32, pos int) int32 {
-		i := sc.it.slot(l)
+	// intern returns the boundary id of global label g, assigning the
+	// next one on first sight; fold is the piece's whole-strip fold
+	// (any pixel of the piece carries it).
+	intern := func(g, fold int32) int32 {
+		i := sc.it.slot(g)
 		if sc.it.live(i) {
 			return sc.it.val[i]
 		}
 		id := int32(len(sc.vals))
-		sc.it.set(i, l, id)
-		sc.vals = append(sc.vals, l)
+		sc.it.set(i, g, id)
+		sc.vals = append(sc.vals, g)
 		if op != nil {
-			// Any pixel of the piece carries the piece's whole-strip
-			// fold, so the first-seen boundary pixel's value is it.
-			sc.acc = append(sc.acc, out[pos])
+			sc.acc = append(sc.acc, fold)
 		}
 		return id
 	}
@@ -509,13 +521,16 @@ func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, global *bitmap.LabelMap, out 
 	if opt.Connectivity == bitmap.Conn8 {
 		loDy, hiDy = -1, 1
 	}
-	seams := 0
-	for xL := aw - 1; xL+1 < w; xL += aw {
-		seams++
-		xR := xL + 1
+	for s := 0; s < seams; s++ {
+		left, right := runs[s], runs[s+1]
+		swL := left.Labels.W()
+		lcol := left.Labels.ColumnSlice(swL - 1)
+		rcol := right.Labels.ColumnSlice(0)
+		offL, offR := int32(s*aw*h), int32((s+1)*aw*h)
+		var fold int32
 		for y := 0; y < h; y++ {
 			scanSteps++ // read the left boundary pixel
-			if !img.Get(xL, y) {
+			if lcol[y] == bitmap.Background {
 				continue
 			}
 			var a int32
@@ -526,14 +541,20 @@ func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, global *bitmap.LabelMap, out 
 					continue
 				}
 				scanSteps++ // one adjacency probe into the right column
-				if !img.Get(xR, ny) {
+				if rcol[ny] == bitmap.Background {
 					continue
 				}
 				if !aSet {
-					a = intern(global.Get(xL, y), xL*h+y)
+					if op != nil {
+						fold = left.PerPixel[(swL-1)*h+y]
+					}
+					a = intern(lcol[y]+offL, fold)
 					aSet = true
 				}
-				sc.edges = append(sc.edges, unionfind.Pair{X: a, Y: intern(global.Get(xR, ny), xR*h+ny)})
+				if op != nil {
+					fold = right.PerPixel[ny]
+				}
+				sc.edges = append(sc.edges, unionfind.Pair{X: a, Y: intern(rcol[ny]+offR, fold)})
 			}
 		}
 	}
@@ -544,7 +565,7 @@ func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, global *bitmap.LabelMap, out 
 	// 2h one-word records.
 	offload := int64(2*h) * int64(seams)
 
-	var ufCharge, foldSteps, rewrites int64
+	var ufCharge, foldSteps int64
 	var stats seamUFStats
 	sc.pairs = sc.pairs[:0]
 	if len(sc.edges) > 0 {
@@ -573,10 +594,10 @@ func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, global *bitmap.LabelMap, out 
 			ufCharge = stats.steps
 		}
 
-		// Least label per class; then rewrite the labels the merge
-		// changed. Each class member label is the least global position
-		// of its component's pixels within one strip, so the class
-		// minimum is the component's global least position. On
+		// Least label per class; then the remap entries of the labels
+		// the merge changed. Each class member label is the least global
+		// position of its component's pixels within one strip, so the
+		// class minimum is the component's global least position. On
 		// aggregation runs, the class total — the op-fold of the member
 		// pieces' strip folds — is computed alongside; each piece
 		// contributes exactly once, which non-idempotent monoids need.
@@ -601,51 +622,23 @@ func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, global *bitmap.LabelMap, out 
 				classTot[r] = op.Combine(classTot[r], sc.acc[id])
 			}
 		}
+		// A remap pair for every label the merge changed.
+		sc.pairOf = unionfind.GrowInt32(sc.pairOf, len(sc.vals))
 		for id, v := range sc.vals {
-			if classMin[roots[id]] != v || (op != nil && classTot[roots[id]] != sc.acc[id]) {
-				sc.pairs = append(sc.pairs, remapPair{old: v, canon: classMin[roots[id]]})
-			}
-		}
-		if len(sc.pairs) > 0 {
-			var colFG, colRW []int64
-			if distributed {
-				colFG = growInt64(sc.colFG, w)
-				colRW = growInt64(sc.colRW, w)
-				sc.colFG, sc.colRW = colFG, colRW
-			}
-			for x := 0; x < w; x++ {
-				col := global.ColumnSlice(x)
-				var fg, rw int64
-				for y, l := range col {
-					if l == bitmap.Background {
-						continue
-					}
-					fg++
-					if id, ok := sc.it.lookup(l); ok {
-						changed := false
-						if m := classMin[roots[id]]; m != l {
-							col[y] = m
-							changed = true
-						}
-						if op != nil {
-							if t := classTot[roots[id]]; t != out[x*h+y] {
-								out[x*h+y] = t
-								changed = true
-							}
-						}
-						if changed {
-							rw++
-							rewrites++
-						}
-					}
+			r := roots[id]
+			sc.pairOf[id] = 0
+			if classMin[r] != v || (op != nil && classTot[r] != sc.acc[id]) {
+				p := remapPair{old: v, canon: classMin[r]}
+				if op != nil {
+					p.tot = classTot[r]
 				}
-				if distributed {
-					colFG[x] = fg
-					colRW[x] = rw
-				}
+				sc.pairs = append(sc.pairs, p)
+				sc.pairOf[id] = int32(len(sc.pairs))
 			}
 		}
 	}
+
+	rewrites := lb.relabelStrips(res, runs, w, h, aw, distributed)
 
 	edgeSteps := int64(len(sc.edges))
 	local := scanSteps + edgeSteps + ufCharge + foldSteps
@@ -671,6 +664,146 @@ func (lb *Labeler) stitchSeams(img *bitmap.Bitmap, global *bitmap.LabelMap, out 
 	}
 	sc.phases[1], sc.phases[2], peMem = lb.seamArrayPhases(w, aw, op != nil, len(sc.pairs) > 0, cost)
 	return sc.phases[:3], stats, peMem
+}
+
+// relabelStrips is the stitch's one pass over the pixels: strip by
+// strip (each a contiguous block of the column-major global map) it
+// writes every pixel's global label — its strip-local label plus the
+// strip's x0·h offset, or the canonical label of its remap pair — and,
+// on aggregation runs, the combined total over a rewritten pixel's
+// fold. Each strip runs against its own window of the label table,
+// with the remap entries of the strip's changed labels set before and
+// the window cleared after, so the table stays the size of one strip
+// and hot in cache. Alongside it counts res.Summary — each strip
+// piece's pixels, then the stitch's classes as the sums of their
+// pieces — and, when the relabel is distributed, each column's
+// foreground and rewritten pixels (the seam-rewrite charge). It returns
+// the number of rewritten pixels.
+func (lb *Labeler) relabelStrips(res *Result, runs []StripRun, w, h, aw int, distributed bool) int64 {
+	sc := &lb.seam
+	global := bitmap.NewLabelMapNoInit(w, h)
+	lab := global.Labels()
+	res.Summary = &Summary{W: w, H: h, Foreground: w * h}
+	if distributed {
+		sc.colFG = growInt64(sc.colFG, w)
+		sc.colRW = growInt64(sc.colRW, w)
+	}
+	if len(sc.labels) <= aw*h {
+		sc.labels = make([]labelSlot, aw*h+1)
+	}
+	// Group the boundary labels by strip (a counting sort), so each
+	// strip visits only its own.
+	vals := sc.vals
+	stripEnd := unionfind.GrowInt32(sc.stripEnd, len(runs))
+	clear(stripEnd)
+	for _, v := range vals {
+		stripEnd[int(v)/(aw*h)]++
+	}
+	var start int32
+	for s, n := range stripEnd {
+		stripEnd[s] = start
+		start += n
+	}
+	byStrip := unionfind.GrowInt32(sc.byStrip, len(vals))
+	for id, v := range vals {
+		s := int(v) / (aw * h)
+		byStrip[stripEnd[s]] = int32(id)
+		stripEnd[s]++
+	}
+	pieces := unionfind.GrowInt32(sc.pieces, len(vals))
+	sc.stripEnd, sc.byStrip, sc.pieces = stripEnd, byStrip, pieces
+
+	var rewrites int64
+	var comps, largest int32
+	var lo int32
+	for s, run := range runs {
+		x0 := s * aw
+		off := int32(x0 * h)
+		sw := run.Labels.W()
+		tab := sc.labels[:sw*h+1]
+		ids := byStrip[lo:stripEnd[s]]
+		lo = stripEnd[s]
+		for _, id := range ids {
+			tab[vals[id]-off+1].remap = sc.pairOf[id]
+		}
+		src := run.Labels.Labels()
+		for c := 0; c < sw; c++ {
+			base := (x0 + c) * h
+			col := src[c*h : (c+1)*h]
+			bg := tab[0].size
+			rw, colComps, colLargest := relabelColumn(lab[base:base+h], col, tab, sc.pairs, off)
+			comps += colComps
+			largest = max(largest, colLargest)
+			rewrites += int64(rw)
+			if rw > 0 && res.PerPixel != nil {
+				out := res.PerPixel[base : base+h]
+				for y, l := range col {
+					if l != bitmap.Background {
+						if k := tab[l+1].remap; k != 0 {
+							out[y] = sc.pairs[k-1].tot
+						}
+					}
+				}
+			}
+			if distributed {
+				sc.colFG[x0+c] = int64(h) - int64(tab[0].size-bg)
+				sc.colRW[x0+c] = int64(rw)
+			}
+		}
+		for _, id := range ids {
+			pieces[id] = tab[vals[id]-off+1].size
+		}
+		// Slot 0 counted the strip's background, once as a piece.
+		if tab[0].size > 0 {
+			comps--
+		}
+		res.Summary.Foreground -= int(tab[0].size)
+		clear(tab)
+	}
+	// Each class of boundary pieces is one component: its pieces were
+	// counted apart, and its size is theirs summed.
+	classSz := unionfind.GrowInt32(sc.classSz, len(vals))
+	clear(classSz)
+	sc.classSz = classSz
+	for id, r := range sc.roots[:len(vals)] {
+		classSz[r] += pieces[id]
+		if int(r) != id {
+			comps--
+		}
+	}
+	for _, n := range classSz {
+		largest = max(largest, n)
+	}
+	res.Labels = global
+	res.Summary.Components = int(comps)
+	res.Summary.Largest = int(largest)
+	return rewrites
+}
+
+// relabelColumn writes one column of the composed labeling: dst[y] is
+// col[y] + off, or the canonical label of its remap pair, and the
+// label's slot in the strip's table counts the pixel. The loop is
+// branch-free but for rewritten pixels: the table is indexed by label
+// + 1, so a background pixel (label −1, which stays −1) counts in slot
+// 0. It returns the rewritten pixels, the labels counted for the first
+// time (slot 0's included), and the largest foreground count reached.
+func relabelColumn(dst, col []int32, tab []labelSlot, pairs []remapPair, off int32) (rw, comps, largest int32) {
+	dst = dst[:len(col)]
+	for y, l := range col {
+		bg := l >> 31 // −1 on background, 0 on foreground
+		i := (l | bg) + 1
+		g := (l + off) | bg // the global label
+		if k := tab[i].remap; k != 0 {
+			g = pairs[k-1].canon
+			rw++
+		}
+		dst[y] = g
+		n := tab[i].size + 1
+		tab[i].size = n
+		comps -= (n - 2) >> 31 // +1 when n == 1
+		largest = max(largest, n&^bg)
+	}
+	return rw, comps, largest
 }
 
 // seamArrayPhases executes the distributed relabel on the seam machine —

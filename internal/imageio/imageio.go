@@ -198,6 +198,29 @@ func DecodeBytes(data []byte, format Format, limits Limits) (*bitmap.Bitmap, err
 	}
 }
 
+// Dims returns the dimensions data declares as format (FormatAuto
+// sniffs), read as DecodeBytes reads them before any raster exists: the
+// PNG, PBM or SLR1 header, or ASCII art's line count and longest line.
+// ok is false when data has no readable header for the format.
+func Dims(data []byte, format Format) (w, h int, ok bool) {
+	if format == FormatAuto || format == "" {
+		format = Sniff(data)
+	}
+	switch format {
+	case FormatPNG:
+		cfg, err := png.DecodeConfig(bytes.NewReader(data))
+		return cfg.Width, cfg.Height, err == nil
+	case FormatPBM:
+		return bitmap.PBMDims(data)
+	case FormatArt:
+		w, h = bitmap.ArtDims(data)
+		return w, h, true
+	case FormatRaw:
+		return bitmap.RawDims(data)
+	}
+	return 0, 0, false
+}
+
 // Decode reads everything from r and decodes it; the service layer
 // bounds r (http.MaxBytesReader) before it gets here.
 func Decode(r io.Reader, format Format, limits Limits) (*bitmap.Bitmap, error) {

@@ -128,6 +128,29 @@ func TestLimits(t *testing.T) {
 	}
 }
 
+// TestDims: every format's declared dimensions read without a decode,
+// sniffed or named, and junk reads as no dimensions.
+func TestDims(t *testing.T) {
+	img := bitmap.Random(9, 0.5, 4).SubImage(0, 0, 9, 5)
+	for _, f := range Formats() {
+		data, err := EncodeBytes(img, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, as := range []Format{f, FormatAuto} {
+			if w, h, ok := Dims(data, as); !ok || w != 9 || h != 5 {
+				t.Errorf("%s read as %q: %dx%d ok=%v, want 9x5", f, as, w, h, ok)
+			}
+		}
+	}
+	if _, _, ok := Dims([]byte("SLR1"), FormatRaw); ok {
+		t.Error("a truncated SLR1 header read as dimensions")
+	}
+	if _, _, ok := Dims(pngSignature, FormatPNG); ok {
+		t.Error("a bare PNG signature read as dimensions")
+	}
+}
+
 // TestPBMLimitFromHeader: an over-limit P1 header is refused with
 // ErrLimit before the raster exists, so a 15-byte body cannot make the
 // decoder allocate the 16 MiB its header declares.
@@ -219,6 +242,8 @@ func FuzzDecodeBytes(f *testing.F) {
 			f.Add(data[:12], uint8(0)) // truncated header (SLR1's is 12 bytes)
 		}
 	}
+	// A strip body as the coordinator cuts it from a wider frame.
+	f.Add(bitmap.Random(40, 0.5, 1).StripView(3, 30).AppendRaw(nil), uint8(0))
 	f.Add([]byte("P1 1048576 128 "), uint8(0))
 	f.Add(artBomb(), uint8(0))
 	f.Add(pngSignature, uint8(0))

@@ -88,15 +88,40 @@ type Stats struct {
 	Largest    int
 }
 
-// Summarize computes component statistics of a labeling.
+// Summarize computes component statistics of a labeling. Canonical
+// labels are column-major positions, so they index a dense count array
+// and no per-component map is built; a labeling with a foreign label
+// space (a label at or past W·H) is summarized from ComponentSizes.
+// The count loop is branch-free on random images: a label indexes its
+// slot at label + 1, and background (or any negative label) counts in
+// slot 0.
 func Summarize(lm *bitmap.LabelMap) Stats {
-	sizes := lm.ComponentSizes()
+	lab := lm.Labels()
+	n := int32(len(lab))
+	counts := make([]int32, n+1)
+	var comps, largest int32
+	for _, v := range lab {
+		bg := v >> 31 // −1 on background, 0 on a label
+		i := (v | bg) + 1
+		if i > n {
+			return summarizeSizes(lm.ComponentSizes())
+		}
+		c := counts[i] + 1
+		counts[i] = c
+		comps -= (c - 2) >> 31 // +1 when c == 1
+		largest = max(largest, c&^bg)
+	}
+	if counts[0] > 0 {
+		comps-- // slot 0 counted the background once
+	}
+	return Stats{Components: int(comps), Foreground: int(n - counts[0]), Largest: int(largest)}
+}
+
+func summarizeSizes(sizes map[int32]int) Stats {
 	st := Stats{Components: len(sizes)}
 	for _, s := range sizes {
 		st.Foreground += s
-		if s > st.Largest {
-			st.Largest = s
-		}
+		st.Largest = max(st.Largest, s)
 	}
 	return st
 }

@@ -157,6 +157,24 @@ func TestSummarize(t *testing.T) {
 	if st.Components != 2 || st.Foreground != 3 || st.Largest != 2 {
 		t.Fatalf("unexpected stats %+v", st)
 	}
+	// Every family, dense, and a foreign label space (labels shifted
+	// past W·H), which takes the map: both agree with the sizes.
+	for _, fam := range bitmap.Families() {
+		lm := BFS(fam.Generate(24))
+		want := summarizeSizes(lm.ComponentSizes())
+		if got := Summarize(lm); got != want {
+			t.Fatalf("%s: Summarize %+v, from the sizes %+v", fam.Name, got, want)
+		}
+		lab := lm.Labels()
+		for i, l := range lab {
+			if l != bitmap.Background {
+				lab[i] = l + int32(len(lab))
+			}
+		}
+		if got := Summarize(lm); got != want {
+			t.Fatalf("%s, shifted: Summarize %+v, want %+v", fam.Name, got, want)
+		}
+	}
 }
 
 func TestAggregateRefMin(t *testing.T) {

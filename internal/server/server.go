@@ -717,6 +717,72 @@ func ToAggregateResponse(res *core.Result, op *core.Monoid, wantLabels bool) *ap
 	return resp
 }
 
+// ToStripRun reconstructs a core.StripRun from the wire response to an
+// sw×h strip's job: the inverse of ToAggregateResponse, by which the
+// slapfront coordinator turns a backend's answer into a run for
+// core.ComposeStrips. A backend's answer is outside input, so it is
+// checked against the job before the stitch trusts it: the dimensions
+// and counts the response claims, and every label, which must be
+// Background or a strip-local position no later than its own pixel's
+// (a component's canonical label is its least position). The labels
+// are then wrapped in place as the strip's map. The wire omits
+// Busy/NilRecvs/per-PE profiles and the speculation stats — none of
+// which ever serialize in a composed response — so the composition over
+// reconstructed runs is byte-identical to the local tiler's.
+func ToStripRun(resp *api.AggregateResponse, sw, h int, agg bool) (core.StripRun, error) {
+	if resp.Width != sw || resp.Height != h {
+		return core.StripRun{}, fmt.Errorf("server: strip response is %dx%d, want %dx%d", resp.Width, resp.Height, sw, h)
+	}
+	if len(resp.Labels) != sw*h {
+		return core.StripRun{}, fmt.Errorf("server: strip response has %d labels, want %d", len(resp.Labels), sw*h)
+	}
+	for i, l := range resp.Labels {
+		// One unsigned compare: Background (−1) maps to 0, below every
+		// i+1, and any other negative label wraps past all of them.
+		if uint32(l+1) > uint32(i+1) {
+			return core.StripRun{}, fmt.Errorf("server: strip response labels position %d with %d, outside [0, %d]", i, l, i)
+		}
+	}
+	lm := bitmap.LabelMapOf(sw, h, resp.Labels)
+	m := slap.Metrics{
+		N:        resp.Metrics.ArrayWidth,
+		Time:     resp.Metrics.TimeSteps,
+		Sends:    resp.Metrics.Sends,
+		Words:    resp.Metrics.Words,
+		MaxQueue: resp.Metrics.MaxQueue,
+		PEMemory: resp.Metrics.PEMemory,
+	}
+	for _, ph := range resp.Metrics.Phases {
+		m.Phases = append(m.Phases, slap.PhaseMetrics{
+			Name:     ph.Name,
+			Makespan: ph.Makespan,
+			Sends:    ph.Sends,
+			Words:    ph.Words,
+			Idle:     ph.Idle,
+			MaxQueue: ph.MaxQueue,
+		})
+	}
+	run := core.StripRun{
+		Labels:  lm,
+		Metrics: m,
+		UF: core.UFReport{
+			Kind:       unionfind.Kind(resp.UF.Kind),
+			Finds:      resp.UF.Finds,
+			Unions:     resp.UF.Unions,
+			TotalSteps: resp.UF.TotalSteps,
+			MaxOpCost:  resp.UF.MaxOpCost,
+			MeanOpCost: resp.UF.MeanOpCost,
+		},
+	}
+	if agg {
+		if len(resp.PerPixel) != sw*h {
+			return core.StripRun{}, fmt.Errorf("server: strip response has %d per-pixel folds, want %d", len(resp.PerPixel), sw*h)
+		}
+		run.PerPixel = resp.PerPixel
+	}
+	return run, nil
+}
+
 // Answer is the JSON body answering resp: the label response alone on
 // label runs (op nil), the whole aggregate response under op.
 func Answer(resp *api.AggregateResponse, op *core.Monoid) any {
@@ -778,22 +844,23 @@ func annotateEngine(sp *obs.Span, opt core.Options) {
 // WriteAnswer answers a run with v, the *api.LabelResponse or
 // *api.AggregateResponse Answer returns: the labels frame when the
 // request's Accept names api.ContentTypeLabels, JSON otherwise; either
-// way api.HeaderOffer offers the frame. The body is encoded to a buffer
-// under an "encode" span, then the trace's span tree — on slapfront,
-// each attempt's grafted backend tree nested inside — rides ahead of
-// it in a Server-Timing header (headers must precede the body, so the
-// encoder cannot stream straight to the wire). The JSON bytes are
-// identical to WriteJSON's, which the cluster-vs-local byte-equality
-// tests depend on.
+// way api.HeaderOffer offers the frame. The answer is prepared under an
+// "encode" span — the JSON body encoded to a buffer, or the frame's
+// header marshaled — then the trace's span tree (on slapfront, each
+// attempt's grafted backend tree nested inside) rides ahead of it in a
+// Server-Timing header: headers must precede the body, so the JSON
+// encoder cannot stream straight to the wire. A frame's arrays are
+// written after the headers, through one small buffer, under its
+// Content-Length. The JSON bytes are identical to WriteJSON's, which
+// the cluster-vs-local byte-equality tests depend on.
 func WriteAnswer(w http.ResponseWriter, r *http.Request, v any) {
 	sp := obs.FromContext(r.Context())
 	esp := sp.Child("encode")
-	ct := "application/json"
+	var frame *api.LabelsFrame
 	var body []byte
 	var err error
 	if api.AcceptsLabelsFrame(r.Header.Get("Accept")) {
-		ct = api.ContentTypeLabels
-		body, err = api.AppendLabelsFrame(nil, v)
+		frame, err = api.NewLabelsFrame(v)
 	} else {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
@@ -806,15 +873,23 @@ func WriteAnswer(w http.ResponseWriter, r *http.Request, v any) {
 		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	hdr := w.Header()
 	if tr := sp.Trace(); tr != nil {
 		if st := tr.ServerTiming(); st != "" {
-			w.Header().Set("Server-Timing", st)
+			hdr.Set("Server-Timing", st)
 		}
 	}
-	w.Header().Set("Content-Type", ct)
-	w.Header().Set(api.HeaderOffer, api.ContentTypeLabels)
+	hdr.Set(api.HeaderOffer, api.ContentTypeLabels)
+	if frame == nil {
+		hdr.Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(body)
+		return
+	}
+	hdr.Set("Content-Type", api.ContentTypeLabels)
+	hdr.Set("Content-Length", strconv.Itoa(frame.Size()))
 	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	frame.WriteTo(w)
 }
 
 // WriteError answers an ErrorResponse; the request ID StartTrace

@@ -1,14 +1,12 @@
 package api
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"mime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,7 +61,7 @@ func AcceptsLabelsFrame(accept string) bool {
 
 // LabelsFrame is the labels frame of one answer, ready to write: its
 // header marshaled, its label and fold arrays held by reference, so the
-// frame's bytes are produced only as they are appended or written.
+// frame's bytes are produced only as they are written.
 type LabelsFrame struct {
 	header        []byte
 	labels, folds []int32
@@ -97,16 +95,6 @@ func NewLabelsFrame(v any) (*LabelsFrame, error) {
 // Size is the frame's length in bytes.
 func (f *LabelsFrame) Size() int {
 	return len(labelsMagic) + 1 + 4 + len(f.header) + 4 + 4*len(f.labels) + 4 + 4*len(f.folds)
-}
-
-// Append appends the frame to dst.
-func (f *LabelsFrame) Append(dst []byte) []byte {
-	dst = slices.Grow(dst, f.Size())
-	dst = f.appendHeader(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.labels)))
-	dst = appendInt32s(dst, f.labels)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.folds)))
-	return appendInt32s(dst, f.folds)
 }
 
 // WriteTo writes the frame to w through one pooled 32 KiB buffer, so
@@ -149,16 +137,6 @@ func (f *LabelsFrame) appendHeader(dst []byte) []byte {
 // arrays through.
 var chunkPool = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
 
-// AppendLabelsFrame appends the labels frame of v, a *LabelResponse or
-// an *AggregateResponse, to dst (see NewLabelsFrame).
-func AppendLabelsFrame(dst []byte, v any) ([]byte, error) {
-	f, err := NewLabelsFrame(v)
-	if err != nil {
-		return dst, err
-	}
-	return f.Append(dst), nil
-}
-
 // appendInt32s appends vs as little-endian int32s.
 func appendInt32s(dst []byte, vs []int32) []byte {
 	n := len(dst)
@@ -174,40 +152,18 @@ func appendInt32s(dst []byte, vs []int32) []byte {
 // transfer from a bad answer).
 var ErrLabelsFrame = errors.New("api: malformed labels frame")
 
-// DecodeLabelsFrame decodes a whole labels frame into out, a
-// *LabelResponse or an *AggregateResponse; decoding into a
-// *LabelResponse skips the folds, as JSON decoding skips per_pixel.
-// Every length is checked against the bytes of b before anything is
-// allocated, so a hostile frame costs at most len(b) more bytes; each
-// non-zero count must equal the header's width·height. A frame shorter
-// than its lengths claim fails with io.ErrUnexpectedEOF.
-func DecodeLabelsFrame(b []byte, out any) error {
-	if len(b) < len(labelsMagic)+1 {
-		return io.ErrUnexpectedEOF
-	}
-	if err := checkMagic(b); err != nil {
-		return err
-	}
-	rest := b[len(labelsMagic)+1:]
-	for _, size := range []int{1, 4, 4} {
-		var err error
-		if _, rest, err = splitCounted(rest, size); err != nil {
-			return err
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrLabelsFrame, len(rest))
-	}
-	return ReadLabelsFrame(bytes.NewReader(b), out, len(b)/4)
-}
-
-// ReadLabelsFrame decodes a labels frame from r as its bytes arrive,
-// into out as DecodeLabelsFrame does, and reads r to its end. maxValues
-// bounds each array: a count above it is ErrLabelsFrame before anything
-// is allocated, so a caller that derives it from what it asked for (a
-// w×h frame answers with w·h labels) allocates no more than a true
-// answer needs, whatever a hostile frame claims. Arrays move through
-// one pooled buffer into slices allocated once at their final size.
+// ReadLabelsFrame decodes a labels frame from r as its bytes arrive
+// into out, a *LabelResponse or an *AggregateResponse, and reads r to
+// its end; decoding into a *LabelResponse skips the folds, as JSON
+// decoding skips per_pixel. Each non-zero count must equal the header's
+// width·height. A frame shorter than its lengths claim fails with
+// io.ErrUnexpectedEOF, any other malformed frame with ErrLabelsFrame.
+// maxValues bounds each array: a count above it is ErrLabelsFrame
+// before anything is allocated, so a caller that derives it from what
+// it asked for (a w×h frame answers with w·h labels) allocates no more
+// than a true answer needs, whatever a hostile frame claims. Arrays
+// move through one pooled buffer into slices allocated once at their
+// final size.
 func ReadLabelsFrame(r io.Reader, out any, maxValues int) error {
 	var lr *LabelResponse
 	var folds *[]int32 // nil when out has no place for them
@@ -300,19 +256,4 @@ func unexpectedEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// splitCounted reads a u32 count of size-byte items off the front of b
-// and returns those items' bytes and what follows, failing with
-// io.ErrUnexpectedEOF when b holds fewer.
-func splitCounted(b []byte, size int) (items, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, io.ErrUnexpectedEOF
-	}
-	n := uint64(binary.LittleEndian.Uint32(b)) * uint64(size)
-	b = b[4:]
-	if uint64(len(b)) < n {
-		return nil, nil, io.ErrUnexpectedEOF
-	}
-	return b[:n], b[n:], nil
 }

@@ -24,13 +24,31 @@ func exampleLabels() *LabelResponse {
 	}
 }
 
+// writeFrame encodes the labels frame of v as the servers write it,
+// through NewLabelsFrame and WriteTo.
+func writeFrame(tb testing.TB, v any) []byte {
+	tb.Helper()
+	f, err := NewLabelsFrame(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readFrame decodes a whole frame held in b, bounding each array by
+// what b could carry.
+func readFrame(b []byte, out any) error {
+	return ReadLabelsFrame(bytes.NewReader(b), out, len(b)/4)
+}
+
 // TestLabelsFrameWorkedExample pins the documented bytes of the
 // example frame.
 func TestLabelsFrameWorkedExample(t *testing.T) {
-	got, err := AppendLabelsFrame(nil, exampleLabels())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := writeFrame(t, exampleLabels())
 	header := `{"width":2,"height":2,"foreground":2,"components":2,"largest":1,` +
 		`"metrics":{"array_width":0,"time_steps":0,"sends":0,"words":0,"max_queue":0,"pe_memory_words":0},` +
 		`"uf":{"kind":"host","finds":2,"unions":0,"total_steps":0,"max_op_cost":0,"mean_op_cost":0}}`
@@ -66,14 +84,11 @@ func TestLabelsFrameRoundTrip(t *testing.T) {
 		{agg, &LabelResponse{}, &LabelResponse{}},
 	} {
 		before, _ := json.Marshal(tc.in)
-		frame, err := AppendLabelsFrame(nil, tc.in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := writeFrame(t, tc.in)
 		if after, _ := json.Marshal(tc.in); !bytes.Equal(before, after) {
 			t.Fatalf("encoding modified its input:\n%s\n%s", before, after)
 		}
-		if err := DecodeLabelsFrame(frame, tc.frameOut); err != nil {
+		if err := readFrame(frame, tc.frameOut); err != nil {
 			t.Fatal(err)
 		}
 		if err := json.Unmarshal(before, tc.jsonOut); err != nil {
@@ -89,12 +104,9 @@ func TestLabelsFrameRoundTrip(t *testing.T) {
 // every length (so clients retry it as a truncated transfer), and an
 // inconsistent one is ErrLabelsFrame.
 func TestLabelsFrameRejects(t *testing.T) {
-	frame, err := AppendLabelsFrame(nil, exampleLabels())
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := writeFrame(t, exampleLabels())
 	for n := 0; n < len(frame); n++ {
-		if err := DecodeLabelsFrame(frame[:n], &LabelResponse{}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if err := readFrame(frame[:n], &LabelResponse{}); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("frame cut to %d of %d bytes: err %v, want io.ErrUnexpectedEOF", n, len(frame), err)
 		}
 	}
@@ -111,19 +123,19 @@ func TestLabelsFrameRejects(t *testing.T) {
 			return append(b[:hdrEnd+4+12], 0, 0, 0, 0)
 		}),
 	} {
-		if err := DecodeLabelsFrame(b, &LabelResponse{}); !errors.Is(err, ErrLabelsFrame) {
+		if err := readFrame(b, &LabelResponse{}); !errors.Is(err, ErrLabelsFrame) {
 			t.Errorf("%s: err %v, want ErrLabelsFrame", name, err)
 		}
 	}
-	if _, err := AppendLabelsFrame(nil, "labels"); err == nil {
-		t.Fatal("AppendLabelsFrame accepted a string")
+	if _, err := NewLabelsFrame("labels"); err == nil {
+		t.Fatal("NewLabelsFrame accepted a string")
 	}
 }
 
-// TestLabelsFrameStreams: WriteTo writes exactly Append's bytes and
-// Size of them, across its buffer's chunk boundary, and ReadLabelsFrame
-// reads them back as DecodeLabelsFrame does — refusing a count beyond
-// what its caller asked for before allocating it.
+// TestLabelsFrameStreams: WriteTo writes Size bytes across its
+// buffer's chunk boundary, and ReadLabelsFrame reads them back —
+// refusing a count beyond what its caller asked for before allocating
+// it.
 func TestLabelsFrameStreams(t *testing.T) {
 	for _, n := range []int{0, 1, 8191, 8192, 8193, 50000} {
 		agg := &AggregateResponse{LabelResponse: LabelResponse{Width: n, Height: 1}, Op: "sum"}
@@ -136,11 +148,8 @@ func TestLabelsFrameStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if m, err := f.WriteTo(&buf); err != nil || m != int64(buf.Len()) {
-			t.Fatalf("%d values: WriteTo = %d, %v for %d bytes", n, m, err, buf.Len())
-		}
-		if want := f.Append(nil); !bytes.Equal(buf.Bytes(), want) || len(want) != f.Size() {
-			t.Fatalf("%d values: WriteTo wrote %d bytes, Append %d, Size %d", n, buf.Len(), len(want), f.Size())
+		if m, err := f.WriteTo(&buf); err != nil || m != int64(buf.Len()) || m != int64(f.Size()) {
+			t.Fatalf("%d values: WriteTo = %d, %v for %d bytes, Size %d", n, m, err, buf.Len(), f.Size())
 		}
 		var got AggregateResponse
 		if err := ReadLabelsFrame(bytes.NewReader(buf.Bytes()), &got, n); err != nil {
@@ -179,16 +188,13 @@ func TestAcceptsLabelsFrame(t *testing.T) {
 	}
 }
 
-// FuzzDecodeLabelsFrame: no input panics, a decoded frame never holds
+// FuzzReadLabelsFrame: no input panics, a decoded frame never holds
 // more values than its bytes carried, and what decodes re-encodes to a
 // frame that decodes to the same response.
-func FuzzDecodeLabelsFrame(f *testing.F) {
+func FuzzReadLabelsFrame(f *testing.F) {
 	agg := &AggregateResponse{LabelResponse: *exampleLabels(), Op: "min", PerPixel: []int32{0, 7, 7, 3}}
 	for _, v := range []any{exampleLabels(), agg, &LabelResponse{}} {
-		frame, err := AppendLabelsFrame(nil, v)
-		if err != nil {
-			f.Fatal(err)
-		}
+		frame := writeFrame(f, v)
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2])
 	}
@@ -196,18 +202,15 @@ func FuzzDecodeLabelsFrame(f *testing.F) {
 	f.Add([]byte("SLL1\x01\x02\x00\x00\x00{}\xff\xff\xff\x7f"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var got AggregateResponse
-		if err := DecodeLabelsFrame(b, &got); err != nil {
+		if err := ReadLabelsFrame(bytes.NewReader(b), &got, len(b)/4); err != nil {
 			return
 		}
 		if 4*(len(got.Labels)+len(got.PerPixel)) > len(b) {
 			t.Fatalf("%d labels and %d folds from %d bytes", len(got.Labels), len(got.PerPixel), len(b))
 		}
-		again, err := AppendLabelsFrame(nil, &got)
-		if err != nil {
-			t.Fatal(err)
-		}
+		again := writeFrame(t, &got)
 		var back AggregateResponse
-		if err := DecodeLabelsFrame(again, &back); err != nil {
+		if err := readFrame(again, &back); err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
 		if !reflect.DeepEqual(got, back) {

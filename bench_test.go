@@ -297,6 +297,9 @@ func BenchmarkLabelerReuse(b *testing.B) {
 // sequentially on one warm arena set and fanned across worker labelers.
 // "whole" is the same frame on a whole-image array for reference: the
 // tiler's host-side overhead over it is the price of the fixed PE count.
+// The host engine strip-mines through the same tiler: "host-strips" is
+// what a cost=host&array=128 request costs, "host-whole" the same frame
+// in one host pass.
 func BenchmarkLabelLarge(b *testing.B) {
 	const n, aw = 1024, 128
 	img := bitmap.Random(n, 0.5, 1)
@@ -307,6 +310,8 @@ func BenchmarkLabelLarge(b *testing.B) {
 		{"whole", core.Options{}},
 		{"strips-seq", core.Options{ArrayWidth: aw}},
 		{"strips-pool", core.Options{ArrayWidth: aw, StripWorkers: 8}},
+		{"host-whole", core.Options{Engine: core.EngineHost}},
+		{"host-strips", core.Options{Engine: core.EngineHost, ArrayWidth: aw}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -339,11 +344,15 @@ func BenchmarkStripCompose(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		frame, err := api.AppendLabelsFrame(nil, server.ToLabelResponse(res, true))
+		frame, err := api.NewLabelsFrame(server.ToLabelResponse(res, true))
 		if err != nil {
 			b.Fatal(err)
 		}
-		frames = append(frames, frame)
+		var buf bytes.Buffer
+		if _, err := frame.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+		frames = append(frames, buf.Bytes())
 	}
 	runs := make([]core.StripRun, len(frames))
 	b.ReportAllocs()

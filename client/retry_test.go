@@ -67,11 +67,13 @@ func framed(body string) scriptStep {
 
 // halfFrame is the first half of a 4×4 answer's labels frame.
 func halfFrame() string {
-	frame, err := api.AppendLabelsFrame(nil, &api.LabelResponse{Width: 4, Height: 4, Labels: make([]int32, 16)})
+	frame, err := api.NewLabelsFrame(&api.LabelResponse{Width: 4, Height: 4, Labels: make([]int32, 16)})
 	if err != nil {
 		panic(err)
 	}
-	return string(frame[:len(frame)/2])
+	var b strings.Builder
+	frame.WriteTo(&b)
+	return b.String()[:b.Len()/2]
 }
 
 // stubClient wires a Client to the script with a recording stub clock:

@@ -140,15 +140,20 @@ func run(args []string) error {
 		img.W(), img.H(), img.CountOnes(), img.Density())
 	if *array > 0 && *array < img.W() {
 		strips := (img.W() + *array - 1) / *array
-		sched, seamName := "sequential", "distributed"
-		if scheduleModel == core.SchedulePipelined {
-			sched = "pipelined"
+		fmt.Printf("array: %d PEs, %d strips", *array, strips)
+		// The schedule and seam models price the simulated machine; a
+		// host run has neither.
+		if !hostRun {
+			sched, seamName := "sequential", "distributed"
+			if scheduleModel == core.SchedulePipelined {
+				sched = "pipelined"
+			}
+			if seamModel == core.SeamHost {
+				seamName = "host"
+			}
+			fmt.Printf(" (%s schedule, %s seam relabel)", sched, seamName)
 		}
-		if seamModel == core.SeamHost {
-			seamName = "host"
-		}
-		fmt.Printf("array: %d PEs, %d strips (%s schedule, %s seam relabel)\n",
-			*array, strips, sched, seamName)
+		fmt.Println()
 	}
 	fmt.Printf("components: %d (largest %d pixels)\n", st.Components, st.Largest)
 	if hostRun {

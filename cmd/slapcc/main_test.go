@@ -174,6 +174,26 @@ func TestRunArrayStripMined(t *testing.T) {
 	}
 }
 
+// TestRunHostArray: -cost host -array strip-mines on the host engine
+// and reports the array and the strip count, but no schedule or seam
+// model, which price only the simulated machine.
+func TestRunHostArray(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"-gen", "random50", "-n", "64", "-cost", "host", "-array", "24"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "array: 24 PEs, 3 strips\n") {
+		t.Errorf("output missing the bare array line:\n%s", out)
+	}
+	for _, unwanted := range []string{"schedule", "seam"} {
+		if strings.Contains(out, unwanted) {
+			t.Errorf("host run reports a %s model:\n%s", unwanted, out)
+		}
+	}
+}
+
 // TestRunBitSerialNonSquare: -bitserial sizes words from the pixel count
 // (WordBitsForDims), not from max(w, h)²: a 32×4 image is charged 8-bit
 // words (⌈lg 2·32·4⌉), where the old maxDim sizing billed 11-bit words.

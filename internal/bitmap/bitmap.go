@@ -175,76 +175,26 @@ func (b *Bitmap) Density() float64 {
 	return float64(b.CountOnes()) / float64(b.w*b.h)
 }
 
-// Column copies column x into dst (which must have length ≥ H) and returns
-// it; dst may be nil, in which case a fresh slice is allocated. This is
-// the shape in which a SLAP PE holds its slice of the image. The word and
-// mask of the column are computed once and strided down the rows, which
-// is measurably cheaper than a per-pixel Get on the simulator's reset
-// path.
-func (b *Bitmap) Column(x int, dst []bool) []bool {
-	if dst == nil {
-		dst = make([]bool, b.h)
-	}
-	if x < 0 || x >= b.w {
-		for y := 0; y < b.h; y++ {
-			dst[y] = false
-		}
-		return dst
-	}
-	idx := x / 64
-	mask := uint64(1) << uint(x%64)
-	for y := 0; y < b.h; y++ {
-		dst[y] = b.words[idx]&mask != 0
-		idx += b.stride
-	}
-	return dst
-}
-
-// ColumnWords extracts column x as a little-endian bitset: bit y%64 of
-// word y/64 of the result is pixel (x, y). dst is reused when its
-// capacity suffices (the simulator's arenas), and out-of-range columns
-// extract as all zeros, mirroring Column. Padding bits above H are
-// always zero, so word-wise popcounts and zero-skipping walks over the
-// result are exact. This is the packed shape the fused column pipeline
-// walks with bits.TrailingZeros64.
-func (b *Bitmap) ColumnWords(x int, dst []uint64) []uint64 {
-	n := (b.h + 63) >> 6
-	if cap(dst) < n {
-		dst = make([]uint64, n)
-	}
-	dst = dst[:n]
-	if x < 0 || x >= b.w {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	idx := x >> 6
-	sh := uint(x & 63)
-	var acc uint64
-	for y := 0; y < b.h; y++ {
-		acc |= (b.words[y*b.stride+idx] >> sh & 1) << (uint(y) & 63)
-		if y&63 == 63 {
-			dst[y>>6] = acc
-			acc = 0
-		}
-	}
-	if b.h&63 != 0 {
-		dst[b.h>>6] = acc
-	}
-	return dst
-}
-
-// ColumnWordsBlock extracts the 64 columns starting at word-aligned x0
-// as packed column bitsets, laid out column-major in dst: word k of
-// column x0+c is dst[c·ceil(H/64)+k], each bitset exactly what
-// ColumnWords(x0+c) returns (columns at or beyond W extract as all
-// zeros, padding bits above H are zero). One 64×64 bit transpose per
+// ColumnWordsBlock extracts the 64 columns starting at x0 as packed
+// column bitsets, laid out column-major in dst: bit y%64 of word
+// c·ceil(H/64) + y/64 is pixel (x0+c, y). dst is reused when its
+// capacity suffices (the engines' arenas). Columns at or beyond W
+// extract as all zeros and padding bits above H are zero, so word-wise
+// popcounts and zero-skipping walks over a column are exact. x0 may be
+// any column of the image: each row's 64 pixels from x0 on are cut from
+// its words by one shift (shiftedWord), and one 64×64 bit transpose per
 // 64-row tile replaces 64·64 single-bit probes, which is what lets the
-// host engine stream whole images at memory-bandwidth-ish rates.
+// host engine stream whole images at memory-bandwidth-ish rates. It
+// panics when x0 is outside [0, W).
 func (b *Bitmap) ColumnWordsBlock(x0 int, dst []uint64) []uint64 {
-	if x0&63 != 0 || x0 < 0 || x0 >= b.w {
-		panic("bitmap: ColumnWordsBlock x0 must be word-aligned and in range")
+	return b.columnWordsBlock(x0, b.w, dst)
+}
+
+// columnWordsBlock is ColumnWordsBlock with the columns at or beyond end
+// (at most W) extracting as zeros: a Strip's right edge.
+func (b *Bitmap) columnWordsBlock(x0, end int, dst []uint64) []uint64 {
+	if x0 < 0 || x0 >= end {
+		panic(fmt.Sprintf("bitmap: column block at %d outside [0, %d)", x0, end))
 	}
 	hw := (b.h + 63) >> 6
 	n := 64 * hw
@@ -252,23 +202,21 @@ func (b *Bitmap) ColumnWordsBlock(x0 int, dst []uint64) []uint64 {
 		dst = make([]uint64, n)
 	}
 	dst = dst[:n]
-	// Mask each source row word to the valid columns, so a row word's
-	// padding bits cannot leak into the last block's phantom columns.
+	// Mask each row's 64 pixels to the valid columns, so neither a row
+	// word's padding bits nor the pixels past end leak into the block's
+	// phantom columns.
 	mask := ^uint64(0)
-	if rem := b.w - x0; rem < 64 {
+	if rem := end - x0; rem < 64 {
 		mask = 1<<uint(rem) - 1
 	}
-	idx := x0 >> 6
+	idx, shift := x0>>6, uint(x0&63)
 	var tile [64]uint64
 	for yc := 0; yc < hw; yc++ {
 		y0 := yc << 6
-		rows := b.h - y0
-		if rows > 64 {
-			rows = 64
-		}
-		base := y0*b.stride + idx
+		rows := min(b.h-y0, 64)
 		for i := 0; i < rows; i++ {
-			tile[i] = b.words[base+i*b.stride] & mask
+			base := (y0 + i) * b.stride
+			tile[i] = shiftedWord(b.words[base:base+b.stride], idx, shift) & mask
 		}
 		for i := rows; i < 64; i++ {
 			tile[i] = 0

@@ -96,29 +96,6 @@ func TestCloneEqual(t *testing.T) {
 	}
 }
 
-func TestColumn(t *testing.T) {
-	b := MustParse(`
-#..
-.#.
-#..
-`)
-	col := b.Column(0, nil)
-	want := []bool{true, false, true}
-	for i := range want {
-		if col[i] != want[i] {
-			t.Fatalf("column 0: want %v, got %v", want, col)
-		}
-	}
-	dst := make([]bool, 3)
-	got := b.Column(1, dst)
-	if &got[0] != &dst[0] {
-		t.Fatal("Column should reuse dst when provided")
-	}
-	if !got[1] || got[0] || got[2] {
-		t.Fatalf("column 1 mismatch: %v", got)
-	}
-}
-
 func TestPos(t *testing.T) {
 	b := New(5, 7)
 	if b.Pos(0, 0) != 0 || b.Pos(1, 0) != 7 || b.Pos(2, 3) != 17 {
@@ -395,74 +372,49 @@ func TestBitmapShadowQuick(t *testing.T) {
 	}
 }
 
-func TestColumnWords(t *testing.T) {
-	for _, dim := range [][2]int{{1, 1}, {3, 7}, {5, 64}, {9, 65}, {65, 130}, {70, 200}} {
+// TestColumnWordsBlock holds the block extractor to Get for every
+// column of a block at every start column, aligned or not, across
+// widths and heights that exercise partial last blocks and partial last
+// row words on both axes: the length, zero columns past W, zero
+// padding bits above H (so word-wise walks are exact), and a reused dst
+// overwritten in full.
+func TestColumnWordsBlock(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {3, 7}, {5, 64}, {64, 64}, {65, 130}, {70, 200}, {128, 63}, {200, 70}} {
 		w, h := dim[0], dim[1]
-		n := w
-		if h > n {
-			n = h
-		}
-		b := Random(n, 0.5, uint64(w*h)).SubImage(0, 0, w, h)
-		var dst []uint64
-		for x := -1; x <= w; x++ {
-			dst = b.ColumnWords(x, dst)
-			if len(dst) != (h+63)/64 {
-				t.Fatalf("%dx%d col %d: got %d words, want %d", w, h, x, len(dst), (h+63)/64)
-			}
-			for y := 0; y < h; y++ {
-				got := dst[y>>6]&(1<<(uint(y)&63)) != 0
-				if got != b.Get(x, y) {
-					t.Fatalf("%dx%d: ColumnWords(%d) bit %d = %v, Get = %v", w, h, x, y, got, b.Get(x, y))
-				}
-			}
-			// Padding above H must be zero so word-wise walks are exact.
-			if rem := h % 64; rem != 0 && len(dst) > 0 {
-				if hi := dst[len(dst)-1] >> uint(rem); hi != 0 {
-					t.Fatalf("%dx%d col %d: dirty padding bits %x", w, h, x, hi)
-				}
-			}
-		}
-		// Reuse must overwrite every word.
+		b := Random(max(w, h), 0.5, uint64(7*w+h)).SubImage(0, 0, w, h)
+		hw := (h + 63) / 64
 		full := New(w, h)
 		full.Fill(true)
-		dst = full.ColumnWords(0, dst)
-		dst = b.ColumnWords(1%w, dst)
-		for y := 0; y < h; y++ {
-			if got := dst[y>>6]&(1<<(uint(y)&63)) != 0; got != b.Get(1%w, y) {
-				t.Fatalf("%dx%d: reused dst stale at row %d", w, h, y)
-			}
-		}
-	}
-}
-
-// TestColumnWordsBlock holds the blocked transpose extractor to
-// ColumnWords' output for every column of every block, across widths
-// and heights that exercise partial last blocks and partial last row
-// words on both axes.
-func TestColumnWordsBlock(t *testing.T) {
-	for _, dim := range [][2]int{{1, 1}, {3, 7}, {64, 64}, {65, 130}, {70, 200}, {128, 63}, {200, 70}} {
-		w, h := dim[0], dim[1]
-		n := w
-		if h > n {
-			n = h
-		}
-		b := Random(n, 0.5, uint64(7*w+h)).SubImage(0, 0, w, h)
-		hw := (h + 63) / 64
-		var block, one []uint64
-		for x0 := 0; x0 < w; x0 += 64 {
+		var block []uint64
+		for x0 := 0; x0 < w; x0++ {
+			block = full.ColumnWordsBlock(0, block) // dirty every word before the reuse
 			block = b.ColumnWordsBlock(x0, block)
 			if len(block) != 64*hw {
-				t.Fatalf("%dx%d block %d: got %d words, want %d", w, h, x0, len(block), 64*hw)
+				t.Fatalf("%dx%d block at %d: got %d words, want %d", w, h, x0, len(block), 64*hw)
 			}
 			for c := 0; c < 64; c++ {
-				one = b.ColumnWords(x0+c, one)
-				for k := 0; k < hw; k++ {
-					if block[c*hw+k] != one[k] {
-						t.Fatalf("%dx%d: block col %d word %d = %#x, ColumnWords = %#x",
-							w, h, x0+c, k, block[c*hw+k], one[k])
+				col := block[c*hw : (c+1)*hw]
+				for y := 0; y < h; y++ {
+					if got := col[y>>6]>>(uint(y)&63)&1 != 0; got != b.Get(x0+c, y) {
+						t.Fatalf("%dx%d: block at %d, column %d row %d = %v, Get = %v", w, h, x0, c, y, got, b.Get(x0+c, y))
+					}
+				}
+				if rem := h % 64; rem != 0 {
+					if hi := col[hw-1] >> uint(rem); hi != 0 {
+						t.Fatalf("%dx%d: block at %d, column %d: dirty padding bits %x", w, h, x0, c, hi)
 					}
 				}
 			}
+		}
+		for _, x0 := range []int{-1, w} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%dx%d: ColumnWordsBlock(%d) did not panic", w, h, x0)
+					}
+				}()
+				b.ColumnWordsBlock(x0, nil)
+			}()
 		}
 	}
 }

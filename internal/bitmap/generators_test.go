@@ -182,7 +182,7 @@ func TestEvenRowRunsStructure(t *testing.T) {
 				t.Fatalf("row %d x=%d: want %v", y, x, want)
 			}
 		}
-		if y+1 < 8 && b.Column(0, nil)[y+1] {
+		if y+1 < 8 && b.Get(0, y+1) {
 			t.Fatalf("odd row %d should be empty", y+1)
 		}
 	}

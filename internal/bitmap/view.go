@@ -2,19 +2,21 @@ package bitmap
 
 import "fmt"
 
-// Image is the read-only shape the simulator consumes: dimensions plus
-// word-packed column extraction. *Bitmap implements it, and so does the
-// zero-copy *Strip view, which is how the strip-mined tiler runs
-// Algorithm CC over a window of a larger image without copying pixels.
+// Image is the read-only shape both engines consume: dimensions plus
+// word-packed column extraction, 64 columns at a time. *Bitmap
+// implements it, and so does the zero-copy *Strip view, which is how
+// the strip-mined tiler labels a window of a larger image without
+// copying pixels.
 type Image interface {
 	// W returns the width (number of columns / SLAP processors).
 	W() int
 	// H returns the height (number of rows).
 	H() int
-	// ColumnWords extracts column x as a little-endian bitset into dst
-	// (reused when its capacity suffices); out-of-range columns extract
-	// as all zeros.
-	ColumnWords(x int, dst []uint64) []uint64
+	// ColumnWordsBlock extracts the 64 columns starting at x0, which
+	// must be in [0, W), as Bitmap.ColumnWordsBlock lays them out into
+	// dst (reused when its capacity suffices); columns at or beyond W
+	// extract as all zeros.
+	ColumnWordsBlock(x0 int, dst []uint64) []uint64
 }
 
 var (
@@ -59,12 +61,13 @@ func (s *Strip) Get(x, y int) bool {
 	return s.src.Get(s.x0+x, y)
 }
 
-// ColumnWords extracts strip column x (parent column x0+x) as a packed
-// bitset, exactly as Bitmap.ColumnWords does; columns outside the strip
-// extract as all zeros even where the parent image has pixels.
-func (s *Strip) ColumnWords(x int, dst []uint64) []uint64 {
-	if x < 0 || x >= s.w {
-		return s.src.ColumnWords(-1, dst)
+// ColumnWordsBlock extracts strip columns [x0, x0+64) (parent columns
+// from x0 on) exactly as Bitmap.ColumnWordsBlock does; columns past the
+// strip's right edge extract as all zeros even where the parent image
+// has pixels. It panics when x0 is outside [0, W).
+func (s *Strip) ColumnWordsBlock(x0 int, dst []uint64) []uint64 {
+	if x0 < 0 || x0 >= s.w {
+		panic(fmt.Sprintf("bitmap: strip column block at %d outside [0, %d)", x0, s.w))
 	}
-	return s.src.ColumnWords(s.x0+x, dst)
+	return s.src.columnWordsBlock(s.x0+x0, s.x0+s.w, dst)
 }

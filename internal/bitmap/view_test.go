@@ -3,30 +3,44 @@ package bitmap
 import "testing"
 
 // TestStripViewMatchesSubImage: a Strip must read exactly like the
-// copied SubImage of the same window, through both Get and ColumnWords,
-// without copying any pixels.
+// copied SubImage of the same window, through both Get and
+// ColumnWordsBlock at every start column, without copying any pixels —
+// including windows whose offset and right edge fall inside a word.
 func TestStripViewMatchesSubImage(t *testing.T) {
 	img := RandomRect(131, 70, 0.5, 31337)
-	for _, win := range [][2]int{{0, 131}, {0, 17}, {64, 64}, {63, 5}, {130, 1}, {40, 0}} {
+	for _, win := range [][2]int{{0, 131}, {0, 17}, {64, 64}, {63, 5}, {100, 31}, {130, 1}, {40, 0}} {
 		x0, w := win[0], win[1]
 		s := img.StripView(x0, w)
 		sub := img.SubImage(x0, 0, w, img.H())
 		if s.W() != w || s.H() != img.H() {
 			t.Fatalf("strip [%d,%d): dims %dx%d, want %dx%d", x0, x0+w, s.W(), s.H(), w, img.H())
 		}
-		for x := -1; x <= w; x++ {
-			got := s.ColumnWords(x, nil)
-			want := sub.ColumnWords(x, nil)
+		var got, want []uint64
+		for x := 0; x < w; x++ {
+			got = s.ColumnWordsBlock(x, got)
+			want = sub.ColumnWordsBlock(x, want)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("strip [%d,%d): column %d word %d: %x, want %x", x0, x0+w, x, i, got[i], want[i])
+					t.Fatalf("strip [%d,%d): block at %d word %d: %x, want %x", x0, x0+w, x, i, got[i], want[i])
 				}
 			}
+		}
+		for x := -1; x <= w; x++ {
 			for y := 0; y < img.H(); y++ {
 				if s.Get(x, y) != sub.Get(x, y) {
 					t.Fatalf("strip [%d,%d): Get(%d,%d) diverges from SubImage", x0, x0+w, x, y)
 				}
 			}
+		}
+		for _, x := range []int{-1, w} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("strip [%d,%d): ColumnWordsBlock(%d) did not panic", x0, x0+w, x)
+					}
+				}()
+				s.ColumnWordsBlock(x, nil)
+			}()
 		}
 	}
 }

@@ -91,9 +91,10 @@ func testImage(t *testing.T) *bitmap.Bitmap {
 
 // clusterCases is the request matrix every bit-identicality test runs:
 // strip-mined and whole-image, both connectivities, both schedules,
-// both seam models, bit-serial cost, and aggregation with global
-// position initials — the shapes whose composition could plausibly
-// diverge over the wire.
+// both seam models, bit-serial cost, aggregation with global position
+// initials, and the host engine (cost=host) strip-mined at an array
+// width that does not divide the image as well as whole — the shapes
+// whose composition could plausibly diverge over the wire.
 func clusterCases() []struct {
 	name string
 	path string
@@ -114,6 +115,12 @@ func clusterCases() []struct {
 		{"aggregate sum strips", api.PathAggregate, api.Params{ArrayWidth: 8, Op: "sum"}},
 		{"aggregate min positions strips", api.PathAggregate, api.Params{ArrayWidth: 8, Op: "min", Initial: "positions", Cost: "bitserial", WantLabels: true}},
 		{"aggregate whole image", api.PathAggregate, api.Params{Op: "max", WantLabels: true}},
+		{"host label strips", api.PathLabel, api.Params{Cost: "host", ArrayWidth: 7, WantLabels: true}},
+		{"host label strips conn8", api.PathLabel, api.Params{Cost: "host", ArrayWidth: 7, Connectivity: 8, WantLabels: true}},
+		{"host label strips no labels", api.PathLabel, api.Params{Cost: "host", ArrayWidth: 16}},
+		{"host aggregate min positions strips", api.PathAggregate, api.Params{Cost: "host", ArrayWidth: 16, Op: "min", Initial: "positions", WantLabels: true}},
+		{"host label whole image", api.PathLabel, api.Params{Cost: "host", WantLabels: true}},
+		{"host aggregate sum whole image", api.PathAggregate, api.Params{Cost: "host", Op: "sum", WantLabels: true}},
 	}
 }
 
@@ -172,7 +179,7 @@ func TestClusterFrameBitIdenticalToLocal(t *testing.T) {
 			if err := json.Unmarshal(jsonBody, &fromJSON); err != nil {
 				t.Fatal(err)
 			}
-			if err := api.DecodeLabelsFrame(want, &fromFrame); err != nil {
+			if err := api.ReadLabelsFrame(bytes.NewReader(want), &fromFrame, len(want)/4); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(fromJSON, fromFrame) {
@@ -488,12 +495,13 @@ func TestClusterRejectsOutOfRangeStripLabels(t *testing.T) {
 			}
 			resp.Labels[0], resp.Labels[1] = 0, tc.label
 			if tc.frame {
-				frame, err := api.AppendLabelsFrame(nil, resp)
+				frame, err := api.NewLabelsFrame(resp)
 				if err != nil {
 					t.Error(err)
+					return
 				}
 				w.Header().Set("Content-Type", api.ContentTypeLabels)
-				w.Write(frame)
+				frame.WriteTo(w)
 				return
 			}
 			server.WriteJSON(w, http.StatusOK, resp)

@@ -131,20 +131,22 @@ type Options struct {
 	// Engine selects the execution engine: EngineSim (the default; ""
 	// selects it) runs the metered SLAP simulation, EngineHost answers
 	// with the word-parallel host labeler — identical labels and
-	// aggregate values, no simulation, zero Metrics. Host runs ignore
-	// ArrayWidth/Seam/Schedule (a whole-image host pass is bit-identical
-	// to any strip decomposition) and the simulation-only knobs. See the
-	// Engine type.
+	// aggregate values, no simulation, zero Metrics. Both engines
+	// strip-mine under ArrayWidth and fan strips out under StripWorkers;
+	// host runs ignore Seam/Schedule and the simulation-only knobs. See
+	// the Engine type.
 	Engine Engine
 
 	// SkipLabels permits the engine to answer without materializing the
 	// per-pixel labeling when the caller only needs the summary —
 	// Result.Labels may come back nil (Result.Summary carries the frame
 	// dimensions and the component summary). The simulator ignores it:
-	// a metered run labels as part of the simulation. The host engine
-	// honors it by skipping the fill sweep and the label map allocation,
-	// which for summary-only traffic is most of the per-frame cost.
-	// Aggregation runs ignore it too — per-pixel folds are the product.
+	// a metered run labels as part of the simulation. A whole-image host
+	// run honors it by skipping the fill sweep and the label map
+	// allocation, which for summary-only traffic is most of the
+	// per-frame cost; a strip-mined run ignores it, because the seam
+	// stitch reads every strip's labels. Aggregation runs ignore it too
+	// — per-pixel folds are the product.
 	SkipLabels bool
 
 	// noFuse runs the sweep phases through the per-phase reference
@@ -352,6 +354,7 @@ type Labeler struct {
 	// Arenas: per-pass column states, the fused-walk subphase specs,
 	// the merge scratch, and the aggregation states.
 	passCols [2][]colState
+	block    []uint64 // one 64-column block of packed column bits
 	subs     []slap.SubPhase
 	mg       mergeScratch
 	agg      aggScratch
@@ -399,11 +402,10 @@ func (lb *Labeler) Label(img *bitmap.Bitmap) (*Result, error) {
 
 // Run is the labeler's one entry: it labels img when op is nil, and
 // runs the Corollary 4 aggregation of initial under *op otherwise (see
-// Aggregate). It dispatches to the host engine (Options.Engine ==
-// EngineHost: the same labels and folds, no simulation), to a
-// strip-mined run when Options.ArrayWidth names an array narrower than
-// the image (see the tiler), or to a whole-image run; the answer is
-// identical either way.
+// Aggregate). It strip-mines when Options.ArrayWidth names an array
+// narrower than the image (see the tiler) and runs the whole image
+// otherwise, on the engine Options.Engine selects either way; labels
+// and folds are identical on every path.
 //
 // ctx is polled on entry and, on strip-mined runs, between strips: a
 // cancelled run stops early with a wrapped context error instead of
@@ -424,9 +426,6 @@ func (lb *Labeler) Run(ctx context.Context, img *bitmap.Bitmap, initial []int32,
 	}
 	lb.ctx = ctx
 	defer func() { lb.ctx = nil }()
-	if lb.userOpt.Engine == EngineHost {
-		return lb.runHost(img, initial, op)
-	}
 	if aw := lb.userOpt.ArrayWidth; aw > 0 && aw < img.W() {
 		return lb.runLarge(img, initial, op)
 	}
@@ -436,8 +435,12 @@ func (lb *Labeler) Run(ctx context.Context, img *bitmap.Bitmap, initial []int32,
 // runImage is Run over the Image interface, always on a whole-image
 // array: the shared path under Run and the tiler's per-strip runs
 // (which pass zero-copy strip views and the strip's window of initial).
-// With op it appends the Corollary 4 phases to the labeling's.
+// It picks the engine; on the simulator, op appends the Corollary 4
+// phases to the labeling's.
 func (lb *Labeler) runImage(img bitmap.Image, initial []int32, op *Monoid) (*Result, error) {
+	if lb.userOpt.Engine == EngineHost {
+		return lb.runHost(img, initial, op)
+	}
 	labels, err := lb.runCC(img)
 	defer func() { lb.img = nil }() // don't keep the caller's image alive between runs
 	if err != nil {

@@ -26,11 +26,13 @@ const (
 	// labeler (internal/hostcc): identical labels and aggregates, no
 	// simulation. Metrics is zero (no phases, no simulated time) and the
 	// UF report carries the host labeler's operation counts under
-	// HostUFKind. ArrayWidth, Seam, and Schedule do not apply — a host
-	// run always labels the whole image in one pass, which is
-	// bit-identical to any strip-mined decomposition — and the
-	// simulation-only knobs (Cost, UF, Profile, …) are validated but
-	// otherwise ignored.
+	// HostUFKind. Under ArrayWidth a host run strip-mines like a
+	// simulated one — each strip a host run over a zero-copy view, the
+	// seams stitched by the tiler under the host seam model — and its UF
+	// report sums the strips' and the stitch's counts, exactly as the
+	// cluster coordinator composes the same request. Seam and Schedule
+	// do not apply, and the simulation-only knobs (Cost, UF, Profile, …)
+	// are validated but otherwise ignored.
 	EngineHost Engine = "host"
 )
 
@@ -60,18 +62,16 @@ func (lb *Labeler) hostLabeler() *hostcc.Labeler {
 	return lb.host
 }
 
-// runHost answers Run with the host engine: canonical labels (and, under
-// op, the per-pixel folds), zero Metrics, a HostUFKind report. Under
-// Options.SkipLabels a label run never materializes the labeling — the
-// summary-only sweep produces the identical Stats (and so the identical
-// wire response, minus the label array) at a fraction of the cost;
-// aggregation runs ignore it, since the folds are the product.
-func (lb *Labeler) runHost(img *bitmap.Bitmap, initial []int32, op *Monoid) (*Result, error) {
+// runHost is runImage's host branch, for a whole image or a strip
+// view: canonical labels (and, under op, the per-pixel folds), zero
+// Metrics, a HostUFKind report. Under Options.SkipLabels a label run
+// never materializes the labeling — the summary-only sweep produces the
+// identical Stats (and so the identical wire response, minus the label
+// array) at a fraction of the cost; aggregation runs ignore it, since
+// the folds are the product.
+func (lb *Labeler) runHost(img bitmap.Image, initial []int32, op *Monoid) (*Result, error) {
 	opt := lb.userOpt.withDefaults()
 	if err := opt.validate(img.W(), img.H()); err != nil {
-		return nil, err
-	}
-	if err := cancelCheck(lb.ctx); err != nil {
 		return nil, err
 	}
 	host := lb.hostLabeler()
@@ -92,15 +92,16 @@ func (lb *Labeler) runHost(img *bitmap.Bitmap, initial []int32, op *Monoid) (*Re
 	return res, nil
 }
 
-// composeHostStrips is the host-engine compose path behind
-// ComposeStrips (res.PerPixel and op non-nil on aggregation runs): the
-// cluster coordinator fans strips to backends under cost=host and
-// stitches the answers here. The stitch is the simulator's, with the
-// seam forced to the host model — no seam machine is built, and the
-// charged phases are discarded, because a host-engine answer carries no
-// Metrics. The composed labels and summary are bit-identical to one
-// whole-image host run (the tiler's own invariant), and the UF report
-// folds the strips' and the stitch's operation counts under HostUFKind.
+// composeHostStrips is composeStrips' host-engine path (res.PerPixel
+// and op non-nil on aggregation runs): a strip-mined host run stitches
+// its strips here, whether they were labeled in process by runLarge or
+// by backends the cluster coordinator fanned them to under cost=host.
+// The stitch is the simulator's, with the seam forced to the host model
+// — no seam machine is built, and the charged phases are discarded,
+// because a host-engine answer carries no Metrics. The composed labels
+// and summary are bit-identical to one whole-image host run (the
+// tiler's own invariant), and the UF report folds the strips' and the
+// stitch's operation counts under HostUFKind.
 func (lb *Labeler) composeHostStrips(img *bitmap.Bitmap, res *Result, runs []StripRun, op *Monoid, opt Options) {
 	hostOpt := opt
 	hostOpt.Seam = SeamHost

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"slapcc/internal/bitmap"
@@ -19,26 +21,20 @@ import (
 var hostTestConns = []bitmap.Connectivity{bitmap.Conn4, bitmap.Conn8}
 
 // requireHostShape asserts the host-engine result-shape contract: no
-// simulated metrics at all, and the host UF kind.
-func requireHostShape(t *testing.T, name string, m interface {
-	metricsZero() bool
-	ufKind() string
-}) {
+// simulated metrics at all, and the host UF kind with the host
+// labeler's finds counted (at least one per run of foreground).
+func requireHostShape(t *testing.T, name string, r *Result) {
 	t.Helper()
-	if !m.metricsZero() {
+	if r.Metrics.Time != 0 || len(r.Metrics.Phases) != 0 || r.Metrics.Sends != 0 {
 		t.Fatalf("%s: host engine emitted simulated metrics", name)
 	}
-	if m.ufKind() != string(HostUFKind) {
-		t.Fatalf("%s: UF kind %q, want %q", name, m.ufKind(), HostUFKind)
+	if r.UF.Kind != HostUFKind {
+		t.Fatalf("%s: UF kind %q, want %q", name, r.UF.Kind, HostUFKind)
+	}
+	if r.Summary == nil || r.Summary.Foreground > 0 && r.UF.Finds == 0 {
+		t.Fatalf("%s: summary %+v with %d finds", name, r.Summary, r.UF.Finds)
 	}
 }
-
-type labelShape struct{ r *Result }
-
-func (s labelShape) metricsZero() bool {
-	return s.r.Metrics.Time == 0 && len(s.r.Metrics.Phases) == 0 && s.r.Metrics.Sends == 0
-}
-func (s labelShape) ufKind() string { return string(s.r.UF.Kind) }
 
 func TestHostEngineLabelMatrix(t *testing.T) {
 	for _, fam := range bitmap.Families() {
@@ -57,25 +53,61 @@ func TestHostEngineLabelMatrix(t *testing.T) {
 				if !host.Labels.Equal(sim.Labels) {
 					t.Fatalf("%s: host labels diverge from simulator", name)
 				}
-				requireHostShape(t, name, labelShape{host})
-
-				// The host engine ignores ArrayWidth: a strip-mined request
-				// answers with the whole-image labels, which the simulator's
-				// own tiler invariant makes bit-identical.
-				stripSim, err := Label(img, Options{Connectivity: conn, ArrayWidth: 16})
-				if err != nil {
-					t.Fatalf("%s: sim aw=16: %v", name, err)
-				}
-				stripHost, err := Label(img, Options{Engine: EngineHost, Connectivity: conn, ArrayWidth: 16})
-				if err != nil {
-					t.Fatalf("%s: host aw=16: %v", name, err)
-				}
-				if !stripHost.Labels.Equal(stripSim.Labels) {
-					t.Fatalf("%s: host aw=16 labels diverge from simulator", name)
-				}
+				requireHostShape(t, name, host)
 			}
 		}
 	}
+}
+
+// TestHostEngineStripMatrix: a strip-mined host run strip-mines like
+// the simulator — every strip a host run over a zero-copy view, the
+// seams stitched by the tiler — and its labels and folds equal both the
+// strip-mined simulator's and one whole-frame host run's, at array
+// widths from one column up, aligned to the column words and not.
+func TestHostEngineStripMatrix(t *testing.T) {
+	img := bitmap.RandomRect(130, 40, 0.5, 0x57B1)
+	w, h := img.W(), img.H()
+	initial := make([]int32, w*h)
+	for i := range initial {
+		initial[i] = int32(i%31) - 7
+	}
+	sum, mn := Sum(), Min()
+	for _, aw := range []int{1, 7, 16, 63, 64, 65, 100} {
+		for _, conn := range hostTestConns {
+			for _, op := range []*Monoid{nil, &sum, &mn} {
+				name := fmt.Sprintf("aw=%d conn%d label", aw, conn)
+				if op != nil {
+					name = fmt.Sprintf("aw=%d conn%d %s", aw, conn, op.Name)
+				}
+				hostOpt := Options{Engine: EngineHost, Connectivity: conn}
+				whole := mustRun(t, name+" whole host", img, initial, op, hostOpt)
+				hostOpt.ArrayWidth = aw
+				host := mustRun(t, name+" host", img, initial, op, hostOpt)
+				sim := mustRun(t, name+" sim", img, initial, op, Options{Connectivity: conn, ArrayWidth: aw})
+				if !host.Labels.Equal(sim.Labels) || !host.Labels.Equal(whole.Labels) {
+					t.Fatalf("%s: strip-mined host labels diverge from the simulator's or the whole frame's", name)
+				}
+				if !slices.Equal(host.PerPixel, sim.PerPixel) || !slices.Equal(host.PerPixel, whole.PerPixel) {
+					t.Fatalf("%s: strip-mined host folds diverge from the simulator's or the whole frame's", name)
+				}
+				if *host.Summary != *whole.Summary {
+					t.Fatalf("%s: summary %+v, whole frame %+v", name, *host.Summary, *whole.Summary)
+				}
+				requireHostShape(t, name, host)
+			}
+		}
+	}
+}
+
+// mustRun is Run under opt on a pooled labeler, failing the test on an
+// error.
+func mustRun(t *testing.T, name string, img *bitmap.Bitmap, initial []int32, op *Monoid, opt Options) *Result {
+	t.Helper()
+	res, err := Run(context.Background(), img, initial, op, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
 }
 
 func TestHostEngineAggregateMatrix(t *testing.T) {
@@ -110,7 +142,7 @@ func TestHostEngineAggregateMatrix(t *testing.T) {
 						t.Fatalf("%s: per-pixel[%d] host %d, sim %d", name, i, host.PerPixel[i], sim.PerPixel[i])
 					}
 				}
-				requireHostShape(t, name, labelShape{host})
+				requireHostShape(t, name, host)
 			}
 		}
 	}
@@ -194,7 +226,9 @@ func copyStrip(img *bitmap.Bitmap, x0, sw int) *bitmap.Bitmap {
 // TestHostEngineCompose drives the cluster-shaped path: strips labeled
 // independently under the host engine, stitched by ComposeStrips with
 // Engine == EngineHost, without and with a monoid. The composed answer
-// must match a whole-image host run — and therefore the simulator.
+// must match a whole-image host run — and therefore the simulator —
+// and equal an in-process strip-mined host run field for field, UF
+// counts included, as slapd's and slapfront's answers must.
 func TestHostEngineCompose(t *testing.T) {
 	img := bitmap.Random(90, 0.5, 0xC10)
 	w, h := img.W(), img.H()
@@ -235,7 +269,11 @@ func TestHostEngineCompose(t *testing.T) {
 			if !composed.Labels.Equal(whole.Labels) {
 				t.Fatalf("%s: composed host labels diverge from whole-image host run", name)
 			}
-			requireHostShape(t, name, labelShape{composed})
+			requireHostShape(t, name, composed)
+			if local := mustRun(t, name+" local", img, nil, nil, opt); !local.Labels.Equal(composed.Labels) ||
+				local.UF != composed.UF || *local.Summary != *composed.Summary {
+				t.Fatalf("%s: strip-mined run (UF %+v) differs from the compose of separate strips (UF %+v)", name, local.UF, composed.UF)
+			}
 
 			wholeAgg, err := Aggregate(img, initial, Sum(), Options{Engine: EngineHost, Connectivity: conn})
 			if err != nil {
@@ -254,7 +292,11 @@ func TestHostEngineCompose(t *testing.T) {
 					t.Fatalf("%s: composed per-pixel[%d] = %d, want %d", name, i, composedAgg.PerPixel[i], wholeAgg.PerPixel[i])
 				}
 			}
-			requireHostShape(t, name+" agg", labelShape{composedAgg})
+			requireHostShape(t, name+" agg", composedAgg)
+			if local := mustRun(t, name+" local agg", img, initial, &sum, opt); !slices.Equal(local.PerPixel, composedAgg.PerPixel) ||
+				local.UF != composedAgg.UF || *local.Summary != *composedAgg.Summary {
+				t.Fatalf("%s: strip-mined aggregate (UF %+v) differs from the compose of separate strips (UF %+v)", name, local.UF, composedAgg.UF)
+			}
 		}
 	}
 }

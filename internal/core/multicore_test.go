@@ -63,6 +63,51 @@ func TestMulticoreHostEngineStable(t *testing.T) {
 	}
 }
 
+// TestMulticoreHostStrips: a strip-mined host run answers the same at
+// every strip fan-out and GOMAXPROCS — labels, folds, summary and UF
+// report — with labels, without them (SkipLabels, which strip runs do
+// not honor: the stitch reads their labels), and aggregating.
+func TestMulticoreHostStrips(t *testing.T) {
+	img := bitmap.RandomRect(300, 96, 0.5, 13)
+	initial := make([]int32, img.W()*img.H())
+	for i := range initial {
+		initial[i] = int32(i%17) - 4
+	}
+	sum := Sum()
+	type call struct {
+		name string
+		skip bool
+		op   *Monoid
+	}
+	calls := []call{{"label", false, nil}, {"summary", true, nil}, {"sum", false, &sum}}
+	run := func(t *testing.T, workers int) []*Result {
+		var out []*Result
+		for _, c := range calls {
+			opt := Options{Engine: EngineHost, ArrayWidth: 37, StripWorkers: workers, SkipLabels: c.skip}
+			out = append(out, mustRun(t, c.name, img, initial, c.op, opt))
+		}
+		return out
+	}
+	var want []*Result
+	atGMP(t, 1, func(t *testing.T) { want = run(t, 0) })
+	for _, p := range gmpSweep {
+		atGMP(t, p, func(t *testing.T) {
+			for workers := 0; workers <= 8; workers++ {
+				for i, got := range run(t, workers) {
+					name := fmt.Sprintf("w%d %s", workers, calls[i].name)
+					if !got.Labels.Equal(want[i].Labels) || !slices.Equal(got.PerPixel, want[i].PerPixel) {
+						t.Errorf("%s: labels or folds differ from the sequential strips", name)
+					}
+					if *got.Summary != *want[i].Summary || got.UF != want[i].UF {
+						t.Errorf("%s: summary %+v UF %+v, sequential %+v %+v", name, *got.Summary, got.UF, *want[i].Summary, want[i].UF)
+					}
+					requireHostShape(t, name, got)
+				}
+			}
+		})
+	}
+}
+
 // TestMulticoreHostBands: a host frame large enough to run in column
 // bands (one per core, up to four here) answers exactly as it does on
 // one core, where it runs as one band: the labels, the folds, the

@@ -15,9 +15,10 @@ import (
 // previous column of the sweep; -1 is the paper's nil) and label.
 //
 // The column pixels are kept bit-packed (bit j%64 of word j/64 is row
-// j), extracted word-wise from the image by bitmap.ColumnWords: every
-// walk over the column skips zero words and pulls 1-rows out of the
-// packed words with bits.TrailingZeros64, and the witness tests against
+// j), extracted from the image 64 columns at a time by
+// bitmap.Image.ColumnWordsBlock: every walk over the column skips zero
+// words and pulls 1-rows out of the packed words with
+// bits.TrailingZeros64, and the witness tests against
 // neighbor columns are single-bit probes. The two passes share the bit
 // arrays (pixels don't depend on sweep direction).
 //
@@ -134,14 +135,18 @@ func (lb *Labeler) runPass(dir slap.Direction, extra *slap.SubPhase) []colState 
 			cols[x].onesCount = lb.passCols[0][x].onesCount
 		}
 	} else {
-		for x := range cols {
-			st := &cols[x]
-			st.bits = lb.img.ColumnWords(x, st.bits)
-			n := 0
-			for _, wd := range st.bits {
-				n += bits.OnesCount64(wd)
+		hw := (h + 63) >> 6
+		for x0 := 0; x0 < w; x0 += 64 {
+			lb.block = lb.img.ColumnWordsBlock(x0, lb.block)
+			for c := 0; c < 64 && x0+c < w; c++ {
+				st := &cols[x0+c]
+				st.bits = append(st.bits[:0], lb.block[c*hw:(c+1)*hw]...)
+				n := 0
+				for _, wd := range st.bits {
+					n += bits.OnesCount64(wd)
+				}
+				st.onesCount = int32(n)
 			}
-			st.onesCount = int32(n)
 		}
 	}
 

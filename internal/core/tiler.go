@@ -261,10 +261,12 @@ func (lb *Labeler) runLarge(img *bitmap.Bitmap, initial []int32, op *Monoid) (*R
 	aw := opt.ArrayWidth
 	strips := (w + aw - 1) / aw
 
-	// Strip runs are plain whole-image runs over strip views.
+	// Strip runs are plain whole-image runs over strip views, with
+	// labels: the stitch reads every strip's.
 	stripOpt := opt
 	stripOpt.ArrayWidth = 0
 	stripOpt.StripWorkers = 0
+	stripOpt.SkipLabels = false
 
 	runs := make([]StripRun, strips)
 	if opt.StripWorkers > 1 && strips > 1 {

@@ -9,8 +9,9 @@
 // Gupta et al. 1606.05973), shaped for this repository's column-major
 // packed bitsets:
 //
-//  1. Runs. Each column's bits arrive as a packed []uint64
-//     (bitmap.ColumnWords); vertical runs of 1-pixels fall out of two
+//  1. Runs. Each column's bits arrive as a packed []uint64, 64 columns
+//     at a time (bitmap.Image.ColumnWordsBlock, from a whole Bitmap or a
+//     zero-copy Strip view); vertical runs of 1-pixels fall out of two
 //     word-parallel masks — run starts are word &^ (word<<1 | carry),
 //     run ends are word &^ (word>>1 | next<<63) — scanned with
 //     bits.TrailingZeros64, so a solid column costs O(h/64), not O(h).
@@ -125,7 +126,7 @@ func NewLabeler() *Labeler { return &Labeler{} }
 var pool = sync.Pool{New: func() any { return NewLabeler() }}
 
 // Label labels img on a pooled host labeler. See Labeler.Label.
-func Label(img *bitmap.Bitmap, conn bitmap.Connectivity) (*bitmap.LabelMap, Stats) {
+func Label(img bitmap.Image, conn bitmap.Connectivity) (*bitmap.LabelMap, Stats) {
 	lb := pool.Get().(*Labeler)
 	defer pool.Put(lb)
 	return lb.Label(img, conn)
@@ -134,8 +135,9 @@ func Label(img *bitmap.Bitmap, conn bitmap.Connectivity) (*bitmap.LabelMap, Stat
 // Label computes the canonical component labeling of img: every
 // component labeled with the least column-major position (x·H + y) of
 // its pixels, background bitmap.Background — bit-identical to the
-// simulator's Result.Labels for every image and connectivity.
-func (lb *Labeler) Label(img *bitmap.Bitmap, conn bitmap.Connectivity) (*bitmap.LabelMap, Stats) {
+// simulator's Result.Labels for every image and connectivity. img may
+// be a whole Bitmap or a zero-copy Strip view of one.
+func (lb *Labeler) Label(img bitmap.Image, conn bitmap.Connectivity) (*bitmap.LabelMap, Stats) {
 	// The fill sweep writes every slot exactly once — runs get their
 	// label, the gaps between them get Background — so the map skips its
 	// own Background prefill (a whole extra pass over W·H at this speed).
@@ -150,7 +152,7 @@ func (lb *Labeler) Label(img *bitmap.Bitmap, conn bitmap.Connectivity) (*bitmap.
 // service traffic (labels not requested) answers with this, skipping
 // the fill sweep and the W·H label allocation that otherwise dominate
 // a host frame.
-func (lb *Labeler) Summary(img *bitmap.Bitmap, conn bitmap.Connectivity) Stats {
+func (lb *Labeler) Summary(img bitmap.Image, conn bitmap.Connectivity) Stats {
 	return lb.run(job{img: img, conn: conn})
 }
 
@@ -163,7 +165,7 @@ func (lb *Labeler) Summary(img *bitmap.Bitmap, conn bitmap.Connectivity) Stats {
 // core.Monoid documents: bands fold their columns separately and the
 // stitch combines their totals. Values are bit-identical to the
 // simulator's Result.PerPixel.
-func (lb *Labeler) Aggregate(img *bitmap.Bitmap, initial []int32, identity int32, combine func(a, b int32) int32, conn bitmap.Connectivity) (*bitmap.LabelMap, []int32, Stats) {
+func (lb *Labeler) Aggregate(img bitmap.Image, initial []int32, identity int32, combine func(a, b int32) int32, conn bitmap.Connectivity) (*bitmap.LabelMap, []int32, Stats) {
 	w, h := img.W(), img.H()
 	// Like Label's, the fill writes every label and per-pixel slot (runs
 	// and gaps), so neither is prefilled.
@@ -178,7 +180,7 @@ func (lb *Labeler) Aggregate(img *bitmap.Bitmap, initial []int32, identity int32
 // job is one call's inputs and outputs. Every band reads it and writes
 // only its own columns of labels and per.
 type job struct {
-	img    *bitmap.Bitmap
+	img    bitmap.Image
 	conn   bitmap.Connectivity
 	labels *bitmap.LabelMap // nil on a Summary call
 	// Aggregate only; combine is nil otherwise.
@@ -273,7 +275,7 @@ func (lb *Labeler) eachBand(f func(b *Labeler, j *job)) {
 // words and unions vertically adjacent runs of neighboring columns —
 // the band's whole connectivity structure, built in one left-to-right
 // sweep.
-func (lb *Labeler) runPass(img *bitmap.Bitmap, conn bitmap.Connectivity) {
+func (lb *Labeler) runPass(img bitmap.Image, conn bitmap.Connectivity) {
 	h := img.H()
 	hw := (h + 63) >> 6
 	lb.runY0 = lb.runY0[:0]

@@ -3,6 +3,7 @@ package hostcc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"slapcc/internal/bitmap"
@@ -247,6 +248,40 @@ func TestBandsMatchOneBand(t *testing.T) {
 							t.Fatalf("%s: Aggregate(%s) per-pixel[%d] = %d, one band %d", where, m.name, i, per[i], m.per[i])
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestStripViewMatchesCopy: labeling a zero-copy strip view, whose
+// columns start and end inside the parent's words, returns exactly the
+// labels, folds and Stats of labeling the same window copied out, in
+// one band and in several.
+func TestStripViewMatchesCopy(t *testing.T) {
+	sum := func(a, b int32) int32 { return a + b }
+	img := bitmap.RandomRect(300, 70, 0.5, 0x5717)
+	for _, win := range [][2]int{{0, 300}, {63, 5}, {100, 31}, {37, 200}, {64, 128}} {
+		x0, w := win[0], win[1]
+		view, sub := img.StripView(x0, w), img.SubImage(x0, 0, w, img.H())
+		initial := make([]int32, w*img.H())
+		for i := range initial {
+			initial[i] = int32(i%13) - 3
+		}
+		for _, bands := range []int{1, 3} {
+			lb := banded(bands)
+			for _, conn := range conns {
+				where := fmt.Sprintf("[%d,%d) conn%d bands=%d", x0, x0+w, conn, bands)
+				wantLab, wantSt := lb.Label(sub, conn)
+				if got, st := lb.Label(view, conn); !got.Equal(wantLab) || st != wantSt {
+					t.Fatalf("%s: Label over the view differs from the copy (stats %+v, want %+v)", where, st, wantSt)
+				}
+				if st := lb.Summary(view, conn); st != wantSt {
+					t.Fatalf("%s: Summary %+v, want %+v", where, st, wantSt)
+				}
+				_, wantPer, _ := lb.Aggregate(sub, initial, 0, sum, conn)
+				if _, per, st := lb.Aggregate(view, initial, 0, sum, conn); !slices.Equal(per, wantPer) || st != wantSt {
+					t.Fatalf("%s: Aggregate over the view differs from the copy", where)
 				}
 			}
 		}

@@ -372,6 +372,36 @@ func TestBitmapShadowQuick(t *testing.T) {
 	}
 }
 
+// TestColumnWords reads one column at a time — the first column of a
+// block started at x, as the host labeler's column walk reads it — and
+// holds it to Get: (H+63)/64 words, zero padding bits above H, and a
+// dst reused across reads overwritten in full.
+func TestColumnWords(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {3, 7}, {5, 64}, {9, 65}, {65, 130}, {70, 200}} {
+		w, h := dim[0], dim[1]
+		b := Random(max(w, h), 0.5, uint64(w*h)).SubImage(0, 0, w, h)
+		hw := (h + 63) / 64
+		full := New(w, h)
+		full.Fill(true)
+		var dst []uint64
+		for x := 0; x < w; x++ {
+			dst = full.ColumnWordsBlock(x, dst) // dirty the words the read must overwrite
+			dst = b.ColumnWordsBlock(x, dst)
+			col := dst[:hw]
+			for y := 0; y < h; y++ {
+				if got := col[y>>6]&(1<<(uint(y)&63)) != 0; got != b.Get(x, y) {
+					t.Fatalf("%dx%d: column %d bit %d = %v, Get = %v", w, h, x, y, got, b.Get(x, y))
+				}
+			}
+			if rem := h % 64; rem != 0 {
+				if hi := col[hw-1] >> uint(rem); hi != 0 {
+					t.Fatalf("%dx%d column %d: dirty padding bits %x", w, h, x, hi)
+				}
+			}
+		}
+	}
+}
+
 // TestColumnWordsBlock holds the block extractor to Get for every
 // column of a block at every start column, aligned or not, across
 // widths and heights that exercise partial last blocks and partial last

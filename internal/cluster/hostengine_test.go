@@ -10,99 +10,75 @@ import (
 	"slapcc/internal/core"
 )
 
-// TestClusterHostEngine serves cost=host end to end through slapfront:
-// strip jobs carry cost=host to the backends, each strip comes back
-// with host-engine labels and no simulated metrics, and the compose
-// path stitches them into the same answers a local cost=host run gives.
-//
-// The answer contract under cost=host is labels, folds, and the
-// component summary — not union–find operation counts: a composed run
-// folds per-strip and seam counts, which legitimately differ from one
-// whole-image host pass. So strip-mined responses are compared field by
-// field, while the whole-image pass-through (one job, forwarded
-// verbatim) is held byte-for-byte.
+// TestClusterHostEngine serves cost=host end to end through slapfront,
+// whole and strip-mined: strip jobs carry cost=host to the backends,
+// and the composed answer is byte-for-byte a local cost=host run's. On
+// top of the byte identity, which clusterCases already holds, it pins
+// the shape of a host answer over the wire: no simulated metrics (time
+// steps, phases, sends) and a host union–find report.
 func TestClusterHostEngine(t *testing.T) {
 	ref := newSlapd(t)
 	b1, b2 := newSlapd(t), newSlapd(t)
 	_, front := newFront(t, []string{b1.URL, b2.URL}, nil)
 	img := testImage(t)
 
-	t.Run("whole image byte-identical", func(t *testing.T) {
-		for _, tc := range []struct {
-			path string
-			p    api.Params
-		}{
-			{api.PathLabel, api.Params{Cost: "host", WantLabels: true}},
-			{api.PathAggregate, api.Params{Cost: "host", Op: "sum", WantLabels: true}},
-		} {
-			wantCode, want := post(t, ref.URL, tc.path, tc.p, img)
-			gotCode, got := post(t, front.URL, tc.path, tc.p, img)
-			if wantCode != http.StatusOK || gotCode != http.StatusOK {
-				t.Fatalf("%s: status local %d cluster %d (%s)", tc.path, wantCode, gotCode, got)
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("%s: cluster response diverges from local:\nlocal:   %s\ncluster: %s", tc.path, want, got)
-			}
+	// same posts the request to the local slapd and to the coordinator,
+	// requires byte-identical 200 answers, and returns the answer.
+	same := func(t *testing.T, path string, p api.Params) []byte {
+		t.Helper()
+		wantCode, want := post(t, ref.URL, path, p, img)
+		gotCode, got := post(t, front.URL, path, p, img)
+		if wantCode != http.StatusOK || gotCode != http.StatusOK {
+			t.Fatalf("%s: status local %d cluster %d (%s)", path, wantCode, gotCode, got)
 		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("%s: cluster response diverges from local:\nlocal:   %s\ncluster: %s", path, want, got)
+		}
+		return got
+	}
+	hostShape := func(t *testing.T, m api.Metrics, uf api.UFReport) {
+		t.Helper()
+		if m.TimeSteps != 0 || len(m.Phases) != 0 || m.Sends != 0 {
+			t.Fatalf("host run leaked simulated metrics: %+v", m)
+		}
+		if uf.Kind != string(core.HostUFKind) || uf.Finds == 0 {
+			t.Fatalf("host UF report %+v", uf)
+		}
+	}
+
+	t.Run("whole image byte-identical", func(t *testing.T) {
+		var lr api.LabelResponse
+		if err := json.Unmarshal(same(t, api.PathLabel, api.Params{Cost: "host", WantLabels: true}), &lr); err != nil {
+			t.Fatal(err)
+		}
+		hostShape(t, lr.Metrics, lr.UF)
+		var ar api.AggregateResponse
+		if err := json.Unmarshal(same(t, api.PathAggregate, api.Params{Cost: "host", Op: "sum", WantLabels: true}), &ar); err != nil {
+			t.Fatal(err)
+		}
+		hostShape(t, ar.Metrics, ar.UF)
 	})
 
 	t.Run("strip-mined label", func(t *testing.T) {
-		p := api.Params{Cost: "host", ArrayWidth: 8, WantLabels: true}
-		_, want := post(t, ref.URL, api.PathLabel, p, img)
-		code, got := post(t, front.URL, api.PathLabel, p, img)
-		if code != http.StatusOK {
-			t.Fatalf("status %d: %s", code, got)
-		}
-		var local, clustered api.LabelResponse
-		if err := json.Unmarshal(want, &local); err != nil {
+		var lr api.LabelResponse
+		if err := json.Unmarshal(same(t, api.PathLabel, api.Params{Cost: "host", ArrayWidth: 8, WantLabels: true}), &lr); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(got, &clustered); err != nil {
-			t.Fatal(err)
+		if len(lr.Labels) != img.W()*img.H() || lr.Components == 0 {
+			t.Fatalf("strip-mined host labels: %d labels, %d components", len(lr.Labels), lr.Components)
 		}
-		if len(clustered.Labels) != len(local.Labels) {
-			t.Fatalf("label count cluster %d, local %d", len(clustered.Labels), len(local.Labels))
-		}
-		for i := range local.Labels {
-			if clustered.Labels[i] != local.Labels[i] {
-				t.Fatalf("label[%d] cluster %d, local %d", i, clustered.Labels[i], local.Labels[i])
-			}
-		}
-		if clustered.Components != local.Components || clustered.Foreground != local.Foreground || clustered.Largest != local.Largest {
-			t.Fatalf("summary diverges: cluster %+v, local %+v", clustered, local)
-		}
-		if clustered.Metrics.TimeSteps != 0 || len(clustered.Metrics.Phases) != 0 || clustered.Metrics.Sends != 0 {
-			t.Fatalf("composed host run leaked simulated metrics: %+v", clustered.Metrics)
-		}
-		if clustered.UF.Kind != string(core.HostUFKind) || clustered.UF.Finds == 0 {
-			t.Fatalf("composed host UF report %+v", clustered.UF)
-		}
+		hostShape(t, lr.Metrics, lr.UF)
 	})
 
 	t.Run("strip-mined aggregate", func(t *testing.T) {
 		p := api.Params{Cost: "host", ArrayWidth: 8, Op: "min", Initial: "positions", WantLabels: true}
-		_, want := post(t, ref.URL, api.PathAggregate, p, img)
-		code, got := post(t, front.URL, api.PathAggregate, p, img)
-		if code != http.StatusOK {
-			t.Fatalf("status %d: %s", code, got)
-		}
-		var local, clustered api.AggregateResponse
-		if err := json.Unmarshal(want, &local); err != nil {
+		var ar api.AggregateResponse
+		if err := json.Unmarshal(same(t, api.PathAggregate, p), &ar); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(got, &clustered); err != nil {
-			t.Fatal(err)
+		if len(ar.PerPixel) != img.W()*img.H() {
+			t.Fatalf("strip-mined host aggregate: %d folds", len(ar.PerPixel))
 		}
-		if len(clustered.PerPixel) != len(local.PerPixel) {
-			t.Fatalf("fold count cluster %d, local %d", len(clustered.PerPixel), len(local.PerPixel))
-		}
-		for i := range local.PerPixel {
-			if clustered.PerPixel[i] != local.PerPixel[i] {
-				t.Fatalf("per-pixel[%d] cluster %d, local %d", i, clustered.PerPixel[i], local.PerPixel[i])
-			}
-		}
-		if clustered.Metrics.TimeSteps != 0 || len(clustered.Metrics.Phases) != 0 {
-			t.Fatalf("composed host aggregate leaked simulated metrics: %+v", clustered.Metrics)
-		}
+		hostShape(t, ar.Metrics, ar.UF)
 	})
 }

@@ -299,7 +299,9 @@ func BenchmarkLabelerReuse(b *testing.B) {
 // tiler's host-side overhead over it is the price of the fixed PE count.
 // The host engine strip-mines through the same tiler: "host-strips" is
 // what a cost=host&array=128 request costs, "host-whole" the same frame
-// in one host pass.
+// in one host pass. The "-summary" rows are the same runs with
+// SkipLabels, as slapd runs a request that asks for no labels: the
+// whole frame skips its label map, the strips label and stitch anyway.
 func BenchmarkLabelLarge(b *testing.B) {
 	const n, aw = 1024, 128
 	img := bitmap.Random(n, 0.5, 1)
@@ -312,6 +314,8 @@ func BenchmarkLabelLarge(b *testing.B) {
 		{"strips-pool", core.Options{ArrayWidth: aw, StripWorkers: 8}},
 		{"host-whole", core.Options{Engine: core.EngineHost}},
 		{"host-strips", core.Options{Engine: core.EngineHost, ArrayWidth: aw}},
+		{"host-whole-summary", core.Options{Engine: core.EngineHost, SkipLabels: true}},
+		{"host-strips-summary", core.Options{Engine: core.EngineHost, ArrayWidth: aw, SkipLabels: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()

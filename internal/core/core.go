@@ -145,8 +145,12 @@ type Options struct {
 	// run honors it by skipping the fill sweep and the label map
 	// allocation, which for summary-only traffic is most of the
 	// per-frame cost; a strip-mined run ignores it, because the seam
-	// stitch reads every strip's labels. Aggregation runs ignore it too
-	// — per-pixel folds are the product.
+	// stitch reads every strip's labels. Such requests do reach slapd
+	// (slapload -cost host -array N -verify=false strip-mines every 4th
+	// one) and cost several times the whole-image summary pass
+	// (BenchmarkLabelLarge host-strips-summary against
+	// host-whole-summary). Aggregation runs ignore it too — per-pixel
+	// folds are the product.
 	SkipLabels bool
 
 	// noFuse runs the sweep phases through the per-phase reference
@@ -354,7 +358,7 @@ type Labeler struct {
 	// Arenas: per-pass column states, the fused-walk subphase specs,
 	// the merge scratch, and the aggregation states.
 	passCols [2][]colState
-	block    []uint64 // one 64-column block of packed column bits
+	colBits  []uint64 // packed column bits, hw words per column
 	subs     []slap.SubPhase
 	mg       mergeScratch
 	agg      aggScratch

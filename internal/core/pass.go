@@ -135,12 +135,17 @@ func (lb *Labeler) runPass(dir slap.Direction, extra *slap.SubPhase) []colState 
 			cols[x].onesCount = lb.passCols[0][x].onesCount
 		}
 	} else {
+		// Each 64-column block is extracted in place into colBits, and
+		// every column state aliases its own hw words of it.
 		hw := (h + 63) >> 6
+		if n := (w + 63) / 64 * 64 * hw; cap(lb.colBits) < n {
+			lb.colBits = make([]uint64, n)
+		}
 		for x0 := 0; x0 < w; x0 += 64 {
-			lb.block = lb.img.ColumnWordsBlock(x0, lb.block)
+			lb.img.ColumnWordsBlock(x0, lb.colBits[x0*hw:])
 			for c := 0; c < 64 && x0+c < w; c++ {
 				st := &cols[x0+c]
-				st.bits = append(st.bits[:0], lb.block[c*hw:(c+1)*hw]...)
+				st.bits = lb.colBits[(x0+c)*hw : (x0+c+1)*hw]
 				n := 0
 				for _, wd := range st.bits {
 					n += bits.OnesCount64(wd)

@@ -96,21 +96,12 @@ func same(what string, got, want []int32) error {
 // Expect computes in process, with engine, the answer a server owes
 // img under p: LabelWithOptions for a label request, or Aggregate of the
 // all-ones labeling under sum (component areas) for Op "sum". The
-// options come from p exactly as slapd resolves them, so strip width,
-// schedule and cost model match what the service ran; with ArrayWidth
-// 0 both calls are exactly the whole-image run.
+// options are those of referenceOptions.
 func Expect(img *slapcc.Bitmap, p api.Params, engine slapcc.Engine) (*Want, error) {
-	opt, err := server.OptionsFromParams(slapcc.Options{}, p, img.W(), img.H())
+	opt, served, err := referenceOptions(p, img.W(), img.H(), engine)
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: %w", err)
+		return nil, err
 	}
-	// Only the simulator has simulated time, so the time check needs the
-	// reference engine to be the one that serves p ("" is the simulator).
-	served := opt.Engine
-	if served == "" {
-		served = slapcc.EngineSim
-	}
-	opt.Engine = engine
 	w := &Want{W: img.W(), H: img.H(), TimeSteps: -1}
 	var lm *slapcc.LabelMap
 	var steps int64
@@ -134,10 +125,35 @@ func Expect(img *slapcc.Bitmap, p api.Params, engine slapcc.Engine) (*Want, erro
 	for x := 0; x < lm.W(); x++ {
 		w.Labels = append(w.Labels, lm.ColumnSlice(x)...)
 	}
+	// Only the simulator has simulated time, so the time check needs the
+	// reference engine to be the one that serves p.
 	if engine == served {
 		w.TimeSteps = steps
 	}
 	return w, nil
+}
+
+// referenceOptions resolves p exactly as slapd does, so strip width,
+// schedule and cost model match what the service ran, and sets the
+// reference engine; served is the engine that serves p. A host
+// reference labels the whole image: strip-mined, it would run the same
+// seam stitch as the answers it checks, so a stitch bug would pass
+// unseen. Labels and folds do not depend on the strip width.
+func referenceOptions(p api.Params, w, h int, engine slapcc.Engine) (opt slapcc.Options, served slapcc.Engine, err error) {
+	opt, err = server.OptionsFromParams(slapcc.Options{}, p, w, h)
+	if err != nil {
+		return opt, "", fmt.Errorf("loadgen: %w", err)
+	}
+	// "" is the simulator.
+	served = opt.Engine
+	if served == "" {
+		served = slapcc.EngineSim
+	}
+	opt.Engine = engine
+	if engine == slapcc.EngineHost {
+		opt.ArrayWidth, opt.StripWorkers = 0, 0
+	}
+	return opt, served, nil
 }
 
 // Mix says which request shapes a corpus draws from each encoded image.

@@ -63,6 +63,35 @@ func TestCheck(t *testing.T) {
 	}
 }
 
+// TestHostReferenceWholeFrame: a host reference for a strip-mined
+// request labels the whole image, so it shares no stitch code with the
+// strip-mined answers it checks, and gives the whole-frame host answer.
+// A simulator reference keeps the request's strips.
+func TestHostReferenceWholeFrame(t *testing.T) {
+	img := slapcc.RandomImage(40, 0.5, 9)
+	for _, op := range []string{"", "sum"} {
+		p := api.Params{Op: op, ArrayWidth: 7, Cost: "host"}
+		opt, served, err := referenceOptions(p, img.W(), img.H(), slapcc.EngineHost)
+		if err != nil || served != slapcc.EngineHost || opt.Engine != slapcc.EngineHost || opt.ArrayWidth != 0 || opt.StripWorkers != 0 {
+			t.Fatalf("op %q: host reference options %+v, served %q, %v; want whole-frame host", op, opt, served, err)
+		}
+		if opt, _, _ := referenceOptions(p, img.W(), img.H(), slapcc.EngineSim); opt.ArrayWidth != 7 {
+			t.Errorf("op %q: sim reference ArrayWidth %d, want 7", op, opt.ArrayWidth)
+		}
+		strips, err := Expect(img, p, slapcc.EngineHost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := Expect(img, api.Params{Op: op, Cost: "host"}, slapcc.EngineHost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(strips, whole) {
+			t.Errorf("op %q: strip-mined host reference differs from the whole-frame host answer", op)
+		}
+	}
+}
+
 // TestBurstClassifies: every answer a burst can meet lands in exactly
 // one bucket.
 func TestBurstClassifies(t *testing.T) {
